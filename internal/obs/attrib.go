@@ -147,26 +147,44 @@ type PhaseSpan struct {
 }
 
 // attribMark is one phase boundary. Marks for all records share one
-// arena and chain backwards through prev, so stamping is a single
-// amortized append regardless of how records interleave.
+// block arena and chain backwards through prev, so stamping is a single
+// store regardless of how records interleave.
 type attribMark struct {
 	t     float64
 	prev  int32
 	phase Phase
 }
 
+// Mark blocks: the arena is a directory of fixed-size blocks, and mark
+// index i lives at blocks[i>>markBlockShift][i&markBlockMask]. A full
+// block is never copied — the next stamp opens a fresh one — so a cold
+// run allocates each mark exactly once and wastes at most the unused
+// tail of its last block. 4096 marks are 64 KiB per block.
+const (
+	markBlockShift = 12
+	markBlockSize  = 1 << markBlockShift
+	markBlockMask  = markBlockSize - 1
+	// marksPerRecordHint sizes the block directory at Reset: the engine
+	// and the cluster front door stamp two to four marks per request, so
+	// the directory itself rarely regrows.
+	marksPerRecordHint = 4
+)
+
+type markBlock [markBlockSize]attribMark
+
 // Ledger records per-request phase chains for one run. Records are
 // addressed by position (the caller's request-slice index). All methods
 // are nil-safe no-ops, so simulators carry their stamps unconditionally
 // behind `if led != nil` guards and pay only an untaken branch when
 // attribution is off. A Ledger is single-goroutine like the engine that
-// feeds it; storage is arena-backed and reusable via Reset, so warm
-// stamping allocates nothing (pinned by TestLedgerZeroAllocs).
+// feeds it; its mark blocks survive Reset, so warm stamping allocates
+// nothing (pinned by TestWarmLedgerStampingZeroAllocs).
 type Ledger struct {
-	marks []attribMark
-	head  []int32   // per record: latest mark index, -1 = none
-	end   []float64 // per record: terminal instant, NaN while open
-	cause []Cause   // per record: CauseOpen while in flight
+	blocks []*markBlock // mark arena; every allocated block, in index order
+	marks  int32        // marks stamped since Reset
+	head   []int32      // per record: latest mark index, -1 = none
+	end    []float64    // per record: terminal instant, NaN while open
+	cause  []Cause      // per record: CauseOpen while in flight
 }
 
 // NewLedger returns a ledger with n empty records.
@@ -199,7 +217,12 @@ func (l *Ledger) Reset(n int) {
 		l.end[i] = nan
 		l.cause[i] = CauseOpen
 	}
-	l.marks = l.marks[:0]
+	l.marks = 0
+	if want := n*marksPerRecordHint>>markBlockShift + 1; cap(l.blocks) < want {
+		dir := make([]*markBlock, len(l.blocks), want)
+		copy(dir, l.blocks)
+		l.blocks = dir
+	}
 }
 
 // Len returns the record count (0 on a nil ledger).
@@ -210,16 +233,29 @@ func (l *Ledger) Len() int {
 	return len(l.head)
 }
 
-// stamp appends one phase boundary, clamping t monotone against the
+// mark addresses mark index i in the block arena.
+func (l *Ledger) mark(i int32) *attribMark {
+	return &l.blocks[i>>markBlockShift][i&markBlockMask]
+}
+
+// stamp records one phase boundary, clamping t monotone against the
 // record's latest mark (admission can fire up to simtime.Eps before the
 // nominal arrival; the clamp absorbs that skew so spans never run
 // backwards).
 func (l *Ledger) stamp(pos int, t float64, p Phase) {
-	if h := l.head[pos]; h >= 0 && t < l.marks[h].t {
-		t = l.marks[h].t
+	h := l.head[pos]
+	if h >= 0 {
+		if last := l.mark(h).t; t < last {
+			t = last
+		}
 	}
-	l.marks = append(l.marks, attribMark{t: t, prev: l.head[pos], phase: p})
-	l.head[pos] = int32(len(l.marks) - 1)
+	i := l.marks
+	if int(i>>markBlockShift) == len(l.blocks) {
+		l.blocks = append(l.blocks, new(markBlock))
+	}
+	*l.mark(i) = attribMark{t: t, prev: h, phase: p}
+	l.marks = i + 1
+	l.head[pos] = i
 }
 
 // Open starts a record's phase chain at instant t. Opening an already
@@ -246,8 +282,10 @@ func (l *Ledger) Close(pos int, t float64, c Cause) {
 	if l == nil || pos < 0 || pos >= len(l.head) {
 		return
 	}
-	if h := l.head[pos]; h >= 0 && t < l.marks[h].t {
-		t = l.marks[h].t
+	if h := l.head[pos]; h >= 0 {
+		if last := l.mark(h).t; t < last {
+			t = last
+		}
 	}
 	l.end[pos] = t
 	l.cause[pos] = c
@@ -301,11 +339,11 @@ func (l *Ledger) Start(pos int) float64 {
 	if l == nil || pos < 0 || pos >= len(l.head) || l.head[pos] < 0 {
 		return math.NaN()
 	}
-	i := l.head[pos]
-	for l.marks[i].prev >= 0 {
-		i = l.marks[i].prev
+	m := l.mark(l.head[pos])
+	for m.prev >= 0 {
+		m = l.mark(m.prev)
 	}
-	return l.marks[i].t
+	return m.t
 }
 
 // End returns the record's terminal instant (NaN while open).
@@ -322,7 +360,7 @@ func (l *Ledger) Current(pos int) (Phase, bool) {
 	if l == nil || pos < 0 || pos >= len(l.head) || l.head[pos] < 0 {
 		return 0, false
 	}
-	return l.marks[l.head[pos]].phase, true
+	return l.mark(l.head[pos]).phase, true
 }
 
 // Durations accumulates the record's per-phase spans into dur. Each span
@@ -339,10 +377,11 @@ func (l *Ledger) Durations(pos int, dur *[NumPhases]float64) bool {
 		return false
 	}
 	next := l.end[pos]
-	for i := h; i >= 0; i = l.marks[i].prev {
-		m := &l.marks[i]
+	for i := h; i >= 0; {
+		m := l.mark(i)
 		dur[m.phase] += next - m.t
 		next = m.t
+		i = m.prev
 	}
 	return true
 }
@@ -361,10 +400,11 @@ func (l *Ledger) Spans(pos int, buf []PhaseSpan) []PhaseSpan {
 	}
 	start := len(buf)
 	next := l.end[pos]
-	for i := h; i >= 0; i = l.marks[i].prev {
-		m := &l.marks[i]
+	for i := h; i >= 0; {
+		m := l.mark(i)
 		buf = append(buf, PhaseSpan{Phase: m.phase, From: m.t, To: next})
 		next = m.t
+		i = m.prev
 	}
 	// Reverse the appended run into chronological order.
 	for a, b := start, len(buf)-1; a < b; a, b = a+1, b-1 {

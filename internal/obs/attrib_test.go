@@ -3,8 +3,10 @@ package obs
 import (
 	"math"
 	"math/big"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // Ledger mechanics: instants, clamping, terminal causes, and the two
@@ -496,4 +498,190 @@ func TestLedgerReopen(t *testing.T) {
 	l.Reopen(99, PhaseDrainMigrate)
 	var nilLed *Ledger
 	nilLed.Reopen(0, PhaseDrainMigrate)
+}
+
+// sliceLedger is the referee for the Ledger's block arena: a
+// single-slice mark store, append-grown, with the same clamp, chaining
+// and read paths.
+type sliceLedger struct {
+	marks []attribMark
+	head  []int32
+	end   []float64
+	cause []Cause
+}
+
+func newSliceLedger(n int) *sliceLedger {
+	l := &sliceLedger{head: make([]int32, n), end: make([]float64, n), cause: make([]Cause, n)}
+	for i := range l.head {
+		l.head[i] = -1
+		l.end[i] = math.NaN()
+	}
+	return l
+}
+
+func (l *sliceLedger) stamp(pos int, t float64, p Phase) {
+	if h := l.head[pos]; h >= 0 && t < l.marks[h].t {
+		t = l.marks[h].t
+	}
+	l.marks = append(l.marks, attribMark{t: t, prev: l.head[pos], phase: p})
+	l.head[pos] = int32(len(l.marks) - 1)
+}
+
+func (l *sliceLedger) close(pos int, t float64, c Cause) {
+	if h := l.head[pos]; h >= 0 && t < l.marks[h].t {
+		t = l.marks[h].t
+	}
+	l.end[pos], l.cause[pos] = t, c
+}
+
+func (l *sliceLedger) reopen(pos int, p Phase) {
+	t := l.end[pos]
+	if math.IsNaN(t) {
+		return
+	}
+	l.end[pos], l.cause[pos] = math.NaN(), CauseOpen
+	l.stamp(pos, t, p)
+}
+
+func (l *sliceLedger) start(pos int) float64 {
+	if l.head[pos] < 0 {
+		return math.NaN()
+	}
+	i := l.head[pos]
+	for l.marks[i].prev >= 0 {
+		i = l.marks[i].prev
+	}
+	return l.marks[i].t
+}
+
+func (l *sliceLedger) spans(pos int) []PhaseSpan {
+	h := l.head[pos]
+	if h < 0 || math.IsNaN(l.end[pos]) {
+		return nil
+	}
+	var out []PhaseSpan
+	next := l.end[pos]
+	for i := h; i >= 0; i = l.marks[i].prev {
+		out = append([]PhaseSpan{{Phase: l.marks[i].phase, From: l.marks[i].t, To: next}}, out...)
+		next = l.marks[i].t
+	}
+	return out
+}
+
+// TestLedgerBlocksMatchSliceReference interleaves many records whose
+// chains cross several block boundaries — a record's marks land in
+// different blocks and chain back across them — and checks every read
+// path against the slice-backed referee, through a Reset and reuse.
+func TestLedgerBlocksMatchSliceReference(t *testing.T) {
+	const records = 600
+	l := NewLedger(records)
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			l.Reset(records)
+		}
+		ref := newSliceLedger(records)
+		x := uint64(round + 11)
+		rnd := func(n int) int {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return int(x % uint64(n))
+		}
+		now := 0.0
+		for step := 0; len(ref.marks) < 3*markBlockSize+77; step++ {
+			pos := rnd(records)
+			now += float64(rnd(1000)) * 1e-6
+			// Occasionally stamp slightly in the past to exercise the clamp.
+			at := now - float64(rnd(3))*1e-3
+			switch op := rnd(10); {
+			case op < 6:
+				p := Phase(rnd(NumPhases))
+				if _, open := l.Current(pos); !open {
+					l.Open(pos, at, p)
+				} else {
+					l.Mark(pos, at, p)
+				}
+				ref.stamp(pos, at, p)
+			case op < 9:
+				c := Cause(1 + rnd(NumCauses-1))
+				l.Close(pos, at, c)
+				ref.close(pos, at, c)
+			default:
+				p := Phase(rnd(NumPhases))
+				l.Reopen(pos, p)
+				ref.reopen(pos, p)
+			}
+		}
+		if got, want := int(l.marks), len(ref.marks); got != want || len(l.blocks) < 3 {
+			t.Fatalf("round %d: %d marks in %d blocks, reference %d marks", round, got, len(l.blocks), want)
+		}
+		for pos := 0; pos < records; pos++ {
+			if g, w := l.Start(pos), ref.start(pos); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("record %d: Start %v, want %v", pos, g, w)
+			}
+			gp, gok := l.Current(pos)
+			wok := ref.head[pos] >= 0
+			if gok != wok || (wok && gp != ref.marks[ref.head[pos]].phase) {
+				t.Fatalf("record %d: Current (%v, %v), reference open=%v", pos, gp, gok, wok)
+			}
+			if l.Closed(pos) != !math.IsNaN(ref.end[pos]) || l.Cause(pos) != ref.cause[pos] {
+				t.Fatalf("record %d: closed/cause mismatch", pos)
+			}
+			gs, ws := l.Spans(pos, nil), ref.spans(pos)
+			if len(gs) != len(ws) {
+				t.Fatalf("record %d: %d spans, want %d", pos, len(gs), len(ws))
+			}
+			var want [NumPhases]float64
+			for i := range ws {
+				if gs[i] != ws[i] {
+					t.Fatalf("record %d span %d: %+v, want %+v", pos, i, gs[i], ws[i])
+				}
+			}
+			if len(ws) > 0 {
+				// Durations accumulates newest-first, like the referee's
+				// chain walk.
+				for i := len(ws) - 1; i >= 0; i-- {
+					want[ws[i].Phase] += ws[i].To - ws[i].From
+				}
+			}
+			var got [NumPhases]float64
+			if ok := l.Durations(pos, &got); ok != (len(ws) > 0) || got != want {
+				t.Fatalf("record %d: Durations %v (ok %v), want %v", pos, got, ok, want)
+			}
+		}
+	}
+}
+
+// TestLedgerColdStampingAllocs pins the block arena's cold cost:
+// stamping N marks into a fresh ledger allocates at most ceil(N/B)
+// blocks and at most 16·N bytes plus one block — no append-growth
+// garbage. (A mark is 16 bytes.)
+func TestLedgerColdStampingAllocs(t *testing.T) {
+	const records = 3000
+	const marksPer = 3
+	const n = records * marksPer
+	if sz := unsafe.Sizeof(attribMark{}); sz != 16 {
+		t.Fatalf("attribMark is %d bytes, the bound below assumes 16", sz)
+	}
+	l := NewLedger(records)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for m := 0; m < marksPer; m++ {
+		for i := 0; i < records; i++ {
+			l.Mark(i, float64(m), Phase(m))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	blocks := uint64((n + markBlockSize - 1) / markBlockSize)
+	if got := after.Mallocs - before.Mallocs; got > blocks {
+		t.Errorf("stamping %d marks made %d allocations, want <= %d blocks", n, got, blocks)
+	}
+	limit := uint64(16*n + 16*markBlockSize)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("stamping %d marks allocated %d bytes, want <= %d", n, got, limit)
+	}
+	if int(l.marks) != n {
+		t.Fatalf("%d marks stamped, want %d", l.marks, n)
+	}
 }

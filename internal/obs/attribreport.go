@@ -70,6 +70,9 @@ type AttribReport struct {
 }
 
 // attribAgg accumulates one group's samples before summarization.
+// Per-phase sums and >0 counts fold online in Add order. Only nonzero
+// durations are kept for the quantiles and the zeros are just counted:
+// most requests spend zero time in most phases.
 type attribAgg struct {
 	model, level string
 	requests     int64
@@ -77,24 +80,30 @@ type attribAgg struct {
 	violations   int64
 	domPhase     [NumPhases]int64
 	domCause     [NumCauses]int64
-	samples      [NumPhases][]float64
+	sum          [NumPhases]float64
+	positive     [NumPhases]int64
+	zeros        [NumPhases]int
+	nonzero      [NumPhases][]float64
 }
+
+// attribKey interns a group without building a joined string per Add.
+type attribKey struct{ model, level string }
 
 // AttribBuilder folds per-request attribution rows into groups. Groups
 // are interned on first sight and sorted at Report time, so insertion
 // order never leaks into the artifact.
 type AttribBuilder struct {
 	groups []*attribAgg
-	index  map[string]int
+	index  map[attribKey]int
 }
 
 // NewAttribBuilder returns an empty builder.
 func NewAttribBuilder() *AttribBuilder {
-	return &AttribBuilder{index: make(map[string]int)}
+	return &AttribBuilder{index: make(map[attribKey]int)}
 }
 
 func (b *AttribBuilder) group(model, level string) *attribAgg {
-	key := model + "\x00" + level
+	key := attribKey{model, level}
 	if i, ok := b.index[key]; ok {
 		return b.groups[i]
 	}
@@ -118,8 +127,16 @@ func (b *AttribBuilder) Add(model, level string, dur *[NumPhases]float64, cause 
 	if !completed {
 		violated = true
 	}
-	for p := 0; p < NumPhases; p++ {
-		g.samples[p] = append(g.samples[p], dur[p])
+	for p, v := range dur {
+		g.sum[p] += v
+		if v > 0 {
+			g.positive[p]++
+		}
+		if v == 0 {
+			g.zeros[p]++
+		} else {
+			g.nonzero[p] = append(g.nonzero[p], v)
+		}
 	}
 	if !violated {
 		return
@@ -139,20 +156,33 @@ func (b *AttribBuilder) Add(model, level string, dur *[NumPhases]float64, cause 
 	g.domPhase[best]++
 }
 
-// quantile returns the nearest-rank q-quantile (0 < q <= 1) of sorted
-// non-empty samples.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+// quantile returns the nearest-rank q-quantile (0 < q <= 1) of the
+// sample multiset made of nonzero (sorted by sort.Float64s: NaNs first,
+// then ascending) plus zeros copies of 0. The zeros belong at the first
+// v > 0 position, so the answer is read off the spliced sequence
+// without materializing it — exactly the dense sort's element.
+func quantile(nonzero []float64, zeros int, q float64) float64 {
+	n := len(nonzero) + zeros
+	if n == 0 {
 		return 0
 	}
-	rank := int(q*float64(len(sorted)) + 0.9999999)
+	rank := int(q*float64(n) + 0.9999999)
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > len(sorted) {
-		rank = len(sorted)
+	if rank > n {
+		rank = n
 	}
-	return sorted[rank-1]
+	i := rank - 1
+	k := sort.Search(len(nonzero), func(j int) bool { return nonzero[j] > 0 })
+	switch {
+	case i < k:
+		return nonzero[i]
+	case i < k+zeros:
+		return 0
+	default:
+		return nonzero[i-zeros]
+	}
 }
 
 // utilRow converts one accountant into a report row.
@@ -186,7 +216,7 @@ func (b *AttribBuilder) Report(occs []*Occupancy) *AttribReport {
 	})
 	// Re-key the index after sorting so the builder stays usable.
 	for i, g := range b.groups {
-		b.index[g.model+"\x00"+g.level] = i
+		b.index[attribKey{g.model, g.level}] = i
 	}
 	for _, g := range b.groups {
 		out := AttribGroup{
@@ -207,27 +237,18 @@ func (b *AttribBuilder) Report(occs []*Occupancy) *AttribReport {
 			}
 		}
 		for p := 0; p < NumPhases; p++ {
-			samples := g.samples[p]
-			var sum float64
-			count := int64(0)
-			for _, v := range samples {
-				sum += v
-				if v > 0 {
-					count++
-				}
-			}
-			sorted := make([]float64, len(samples))
-			copy(sorted, samples)
-			sort.Float64s(sorted)
+			// In-place sort: the quantiles need order, the folded sum
+			// does not, and a later Add simply appends unsorted again.
+			sort.Float64s(g.nonzero[p])
 			ps := PhaseStat{
 				Phase: Phase(p).String(),
-				Count: count,
-				Sum:   sum,
-				P50:   quantile(sorted, 0.50),
-				P99:   quantile(sorted, 0.99),
+				Count: g.positive[p],
+				Sum:   g.sum[p],
+				P50:   quantile(g.nonzero[p], g.zeros[p], 0.50),
+				P99:   quantile(g.nonzero[p], g.zeros[p], 0.99),
 			}
-			if len(samples) > 0 {
-				ps.Mean = sum / float64(len(samples))
+			if g.requests > 0 {
+				ps.Mean = g.sum[p] / float64(g.requests)
 			}
 			out.Phases = append(out.Phases, ps)
 		}

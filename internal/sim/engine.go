@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -27,6 +28,16 @@ const TimeEps = simtime.Eps
 // modeled separately from the allocation's bandwidth share
 // (Task.checkpointCycles).
 const configLoadCycles = 500
+
+// Malformed-input errors returned by Node.Run before any simulation
+// starts; they wrap a message naming the offending request.
+var (
+	// ErrBadArrival: a request's arrival instant is NaN or infinite.
+	ErrBadArrival = errors.New("sim: request arrival is not a finite time")
+	// ErrBadWork: a request's work multiplier is negative, NaN or
+	// infinite. Zero is valid and means unscaled.
+	ErrBadWork = errors.New("sim: request work is negative or not finite")
+)
 
 // Outcome aggregates one simulated workload instance.
 type Outcome struct {
@@ -144,7 +155,6 @@ type Node struct {
 type nodeScratch struct {
 	arena      []Task
 	tasks      []*Task
-	pp         []ppEntry
 	allocBuf   []int
 	retry      []retryEntry
 	prevUsable []bool
@@ -186,19 +196,44 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 			n.Faults.Health().Units(), total)
 	}
 
-	// Request-ID index. The common case — IDs are the identity
-	// permutation, as every generated workload and cluster dispatch
-	// stream produces — needs no map at all: IDs are provably unique and
-	// ID == input position.
-	var index map[int]int
-	identityIDs := true
-	for i, r := range reqs {
+	// One pass over the input validates every request and classifies the
+	// stream: identity IDs (ID == input position, what every generated
+	// workload produces), strictly increasing IDs (unique by
+	// construction), and strictly increasing arrivals (the Poisson
+	// streams and the cluster's chronological dispatch order — the input
+	// is then its own calendar). It also sums the fairness priorities in
+	// input order.
+	identityIDs, increasingIDs, aliased := true, true, true
+	prioSum := 0.0
+	for i := range reqs {
+		r := &reqs[i]
+		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
+			return nil, fmt.Errorf("%w: request %d (ID %d) arrives at %v", ErrBadArrival, i, r.ID, r.Arrival)
+		}
+		if r.Work < 0 || math.IsNaN(r.Work) || math.IsInf(r.Work, 0) {
+			return nil, fmt.Errorf("%w: request %d (ID %d) has work %v", ErrBadWork, i, r.ID, r.Work)
+		}
 		if r.ID != i {
 			identityIDs = false
-			break
 		}
+		if i > 0 {
+			if r.ID <= reqs[i-1].ID {
+				increasingIDs = false
+			}
+			if r.Arrival <= reqs[i-1].Arrival {
+				aliased = false
+			}
+		}
+		prioSum += float64(r.Priority)
 	}
-	if !identityIDs {
+
+	// ID → input position. Identity streams use the ID itself and an
+	// aliased calendar its own position, so the map is built only for the
+	// copy-and-sort path, which reads it at admit, or to reject
+	// duplicates among IDs that are not strictly increasing.
+	var index map[int]int
+	needIndex := !identityIDs && !aliased
+	if needIndex || !increasingIDs {
 		index = make(map[int]int, len(reqs))
 		for i, r := range reqs {
 			if _, dup := index[r.ID]; dup {
@@ -206,48 +241,21 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 			}
 			index[r.ID] = i
 		}
+		if !needIndex {
+			index = nil
+		}
 	}
 
-	// Arrival calendar. A strictly increasing input (the Poisson streams
-	// and the cluster's chronological dispatch order) is its own
-	// calendar — alias it without copying; the engine never mutates
-	// pending entries. Anything else takes the copy-and-sort path, whose
-	// comparator and algorithm are unchanged so tied arrivals keep their
-	// historical order.
+	// Arrival calendar. An aliased input is used without copying; the
+	// engine never mutates pending entries. Anything else takes the
+	// copy-and-sort path, whose comparator and algorithm are unchanged so
+	// tied arrivals keep their historical order.
 	pending := reqs
-	aliased := true
-	// The monotonicity pass doubles as the fairness priority sum (input
-	// order, matching fairnessOf's historical accumulation order); the
-	// rare unsorted input recomputes it below after breaking out early.
-	prioSum := 0.0
-	if len(reqs) > 0 {
-		prioSum = float64(reqs[0].Priority)
-	}
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival <= reqs[i-1].Arrival {
-			//perf:alloc-ok unsorted-input fallback: runs at most once, sorted streams never enter
-			cp := make([]workload.Request, len(reqs))
-			copy(cp, reqs)
-			//perf:alloc-ok same fallback: one sort of a copied stream
-			sort.Slice(cp, func(i, j int) bool { return cp[i].Arrival < cp[j].Arrival })
-			pending = cp
-			aliased = false
-			break
-		}
-		prioSum += float64(reqs[i].Priority)
-	}
 	if !aliased {
-		prioSum = 0
-		for i := range reqs {
-			prioSum += float64(reqs[i].Priority)
-		}
-	}
-	if identityIDs || aliased {
-		// Each task learns its input position at admit (ID for identity
-		// streams, calendar position for aliased ones), so the retire path
-		// never consults the index map; it was only needed for the
-		// duplicate check above.
-		index = nil
+		pending = make([]workload.Request, len(reqs))
+		copy(pending, reqs)
+		//perf:alloc-ok unsorted-input fallback: one sort of a copied stream, sorted streams never enter
+		sort.Slice(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
 	}
 
 	// Task records come from one pooled arena: at most one task is ever
@@ -263,12 +271,11 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	usedArena := 0
 
 	tasks := sc.tasks[:0] // active
-	pp := sc.pp[:0]
 	allocBuf := sc.allocBuf[:0]
 	prevUsable := sc.prevUsable[:0]
 	retryQ := retryHeap{entries: sc.retry[:0]}
 	defer func() {
-		sc.arena, sc.tasks, sc.pp = arena, tasks[:0], pp[:0]
+		sc.arena, sc.tasks = arena, tasks[:0]
 		sc.allocBuf, sc.prevUsable = allocBuf[:0], prevUsable[:0]
 		sc.retry = retryQ.entries[:0]
 		nodeScratchPool.Put(sc)
@@ -335,6 +342,11 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	for m, p := range n.Programs { //det:mapiter-ok builds a map from a map; contents are iteration-order-insensitive
 		binds[m] = progBinding{prog: p, iso: float64(p.Table(total).TotalCycles) / cps}
 	}
+
+	// PREMA fairness (min_{i,j} PP_i/PP_j) folds online at retirement:
+	// min and max of PP over finished tasks with a positive turnaround.
+	finished := 0
+	minPP, maxPP := math.Inf(1), 0.0
 
 	now := pending[0].Arrival
 	firstArrival := now
@@ -921,7 +933,17 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 				out.Latency[idx] = lat
 				out.EnergyJ += t.EnergyJ
 				out.Preemptions += t.Preemptions
-				pp = appendPP(pp, t)
+				finished++
+				if lat > 0 {
+					// PP_i = (T_iso / T_multi) / (priority_i / Σ priority).
+					v := (t.iso / lat) / (float64(t.Req.Priority) / prioSum)
+					if v < minPP {
+						minPP = v
+					}
+					if v > maxPP {
+						maxPP = v
+					}
+				}
 			} else {
 				kept = append(kept, t)
 			}
@@ -938,7 +960,10 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	out.Makespan = now - firstArrival
 	// Chip leakage and fission-support overhead power over the busy time.
 	out.EnergyJ += (energy.LeakageWatts(n.Cfg, n.Params) + energy.OverheadWatts(n.Cfg)) * out.BusyTime
-	out.Fairness = fairnessOf(pp, prioSum)
+	out.Fairness = 1
+	if finished >= 2 && maxPP != 0 && !math.IsInf(minPP, 1) {
+		out.Fairness = minPP / maxPP
+	}
 	out.MeetsSLA = workload.MeetsSLA(reqs, out.Finishes)
 	return out, nil
 }
@@ -949,53 +974,10 @@ func taskTrack(id int) string {
 	return fmt.Sprintf("task %03d", id)
 }
 
-// ppEntry carries one finished task's normalized progress for fairness.
-type ppEntry struct {
-	id       int
-	priority int
-	iso      float64
-	multi    float64
-}
-
 // progBinding is one model's interned admission state: its compiled
 // program and the isolated full-chip run time used by the fairness
 // metric.
 type progBinding struct {
 	prog *compiler.Program
 	iso  float64
-}
-
-func appendPP(pp []ppEntry, t *Task) []ppEntry {
-	return append(pp, ppEntry{
-		id:       t.Req.ID,
-		priority: t.Req.Priority,
-		iso:      t.iso,
-		multi:    t.Finish - t.Req.Arrival,
-	})
-}
-
-// fairnessOf computes PREMA's fairness metric:
-// PP_i = (T_iso / T_multi) / (priority_i / Σ priority), fairness =
-// min_{i,j} PP_i / PP_j = min PP / max PP.
-func fairnessOf(pp []ppEntry, prioSum float64) float64 {
-	if len(pp) < 2 {
-		return 1
-	}
-	minPP, maxPP := math.Inf(1), 0.0
-	for _, e := range pp {
-		if e.multi <= 0 {
-			continue
-		}
-		v := (e.iso / e.multi) / (float64(e.priority) / prioSum)
-		if v < minPP {
-			minPP = v
-		}
-		if v > maxPP {
-			maxPP = v
-		}
-	}
-	if maxPP == 0 || math.IsInf(minPP, 1) {
-		return 1
-	}
-	return minPP / maxPP
 }

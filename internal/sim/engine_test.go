@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"planaria/internal/arch"
@@ -303,5 +306,191 @@ func TestCheckpointScalesWithBandwidthShare(t *testing.T) {
 	done := &Task{ID: 2, Prog: prog, Alloc: 4, Layer: len(prog.Table(1).Layers)}
 	if done.checkpointCycles(&node.Cfg, 4) != 0 {
 		t.Fatal("done task checkpointed")
+	}
+}
+
+// TestRunRejectsMalformedRequests: a non-finite arrival or a negative
+// or non-finite work multiplier fails Run up front with a named error,
+// instead of spinning to the livelock guard, failing with an opaque
+// "no next event", or silently running as unscaled work.
+func TestRunRejectsMalformedRequests(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(r *workload.Request)
+		want error
+	}{
+		{"NaN arrival", func(r *workload.Request) { r.Arrival = math.NaN() }, ErrBadArrival},
+		{"+Inf arrival", func(r *workload.Request) { r.Arrival = math.Inf(1) }, ErrBadArrival},
+		{"negative work", func(r *workload.Request) { r.Work = -1 }, ErrBadWork},
+		{"NaN work", func(r *workload.Request) { r.Work = math.NaN() }, ErrBadWork},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			node, _ := testNode(t, fullPolicy{})
+			reqs := []workload.Request{req(0, 0, 1, 5), req(1, 0.001, 1, 5), req(2, 0.002, 1, 5)}
+			tc.mod(&reqs[2])
+			_, err := node.Run(reqs)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Run error = %v, want %v", err, tc.want)
+			}
+		})
+	}
+	// Zero work keeps meaning unscaled.
+	node, _ := testNode(t, fullPolicy{})
+	plain, err := node.Run([]workload.Request{req(0, 0, 1, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := req(0, 0, 1, 5)
+	r.Work = 1
+	one, err := node.Run([]workload.Request{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Finishes[0] != one.Finishes[0] {
+		t.Fatalf("Work 0 finished at %g, Work 1 at %g", plain.Finishes[0], one.Finishes[0])
+	}
+}
+
+// ppEntry carries one finished task's normalized-progress inputs for
+// the fairness referee.
+type ppEntry struct {
+	priority int
+	iso      float64
+	multi    float64
+}
+
+// fairnessOf is the referee for Run's online fairness fold: PREMA's
+// metric PP_i = (T_iso / T_multi) / (priority_i / Σ priority), fairness
+// = min_{i,j} PP_i / PP_j = min PP / max PP, over a materialized list.
+func fairnessOf(pp []ppEntry, prioSum float64) float64 {
+	if len(pp) < 2 {
+		return 1
+	}
+	minPP, maxPP := math.Inf(1), 0.0
+	for _, e := range pp {
+		if e.multi <= 0 {
+			continue
+		}
+		v := (e.iso / e.multi) / (float64(e.priority) / prioSum)
+		if v < minPP {
+			minPP = v
+		}
+		if v > maxPP {
+			maxPP = v
+		}
+	}
+	if maxPP == 0 || math.IsInf(minPP, 1) {
+		return 1
+	}
+	return minPP / maxPP
+}
+
+// TestFairnessFoldMatchesReference: over seeded random streams —
+// single requests, rejected unknown models (fewer than two finished
+// tasks), zero priorities, and near-zero work that finishes at its
+// arrival instant (T_multi = 0) — Outcome.Fairness is bit-equal to the
+// materialized referee.
+func TestFairnessFoldMatchesReference(t *testing.T) {
+	node, prog := testNode(t, fullPolicy{})
+	total := node.Cfg.NumSubarrays()
+	iso := float64(prog.Table(total).TotalCycles) / node.Cfg.CyclesPerSecond()
+	rng := rand.New(rand.NewSource(2024))
+	sawFew, sawZeroMulti := false, false
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(7)
+		reqs := make([]workload.Request, n)
+		at := 0.0
+		for i := range reqs {
+			at += float64(rng.Intn(4)) * 2e-4
+			reqs[i] = req(i, at, 1, rng.Intn(12))
+			switch rng.Intn(6) {
+			case 0:
+				reqs[i].Model = "no-such-model"
+			case 1:
+				reqs[i].Work = 1e-12
+			case 2:
+				reqs[i].Work = 2.5
+			}
+		}
+		out, err := node.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prioSum := 0.0
+		var pp []ppEntry
+		for i, r := range reqs {
+			prioSum += float64(r.Priority)
+			if out.Finishes[i] >= 0 {
+				pp = append(pp, ppEntry{priority: r.Priority, iso: iso, multi: out.Latency[i]})
+				if out.Latency[i] <= 0 {
+					sawZeroMulti = true
+				}
+			}
+		}
+		if len(pp) < 2 {
+			sawFew = true
+		}
+		want := fairnessOf(pp, prioSum)
+		if math.Float64bits(out.Fairness) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Fairness %v, reference %v (reqs %+v)", trial, out.Fairness, want, reqs)
+		}
+	}
+	if !sawFew || !sawZeroMulti {
+		t.Fatalf("edge cases not exercised: <2 finished %v, T_multi <= 0 %v", sawFew, sawZeroMulti)
+	}
+}
+
+// TestRunIDMapOnlyWhenRead pins the ID-map rule: a sorted stream with
+// strictly increasing, non-identity IDs (the shape of every cluster
+// chip stream) allocates exactly what the identity stream does — no
+// ID → position map — and produces the same outcome.
+func TestRunIDMapOnlyWhenRead(t *testing.T) {
+	node, _ := testNode(t, fullPolicy{})
+	var ident, shifted []workload.Request
+	for i := 0; i < 200; i++ {
+		ident = append(ident, req(i, float64(i)*1e-3, 1, 5))
+		shifted = append(shifted, req(3*i+7, float64(i)*1e-3, 1, 5))
+	}
+	run := func(reqs []workload.Request) *Outcome {
+		out, err := node.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := run(ident), run(shifted)
+	for i := range a.Finishes {
+		if a.Finishes[i] != b.Finishes[i] {
+			t.Fatalf("request %d: finish %g with identity IDs, %g with shifted IDs", i, a.Finishes[i], b.Finishes[i])
+		}
+	}
+	allocIdent := testing.AllocsPerRun(20, func() { run(ident) })
+	allocShifted := testing.AllocsPerRun(20, func() { run(shifted) })
+	if allocShifted != allocIdent {
+		t.Fatalf("shifted-ID stream: %.1f allocs/run, identity stream %.1f (want equal: no ID map)", allocShifted, allocIdent)
+	}
+}
+
+// TestRunRejectsDuplicateIDs: duplicates are caught whether the stream
+// is its own calendar (sorted arrivals) or takes the copy-and-sort path.
+func TestRunRejectsDuplicateIDs(t *testing.T) {
+	node, _ := testNode(t, fullPolicy{})
+	sorted := []workload.Request{req(4, 0, 1, 5), req(9, 0.001, 1, 5), req(4, 0.002, 1, 5)}
+	unsorted := []workload.Request{req(4, 0.002, 1, 5), req(9, 0.001, 1, 5), req(9, 0, 1, 5)}
+	for _, reqs := range [][]workload.Request{sorted, unsorted} {
+		if _, err := node.Run(reqs); err == nil || !strings.Contains(err.Error(), "duplicate request ID") {
+			t.Errorf("stream %v: Run error = %v, want duplicate request ID", reqs, err)
+		}
+	}
+	// Decreasing but distinct IDs on an unsorted stream still run, with
+	// outcomes addressed by input position.
+	ok := []workload.Request{req(9, 0.002, 1, 5), req(4, 0, 1, 5)}
+	out, err := node.Run(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Finishes[1] < 0 || out.Finishes[0] < out.Finishes[1] {
+		t.Fatalf("finishes %v not addressed by input position", out.Finishes)
 	}
 }
