@@ -264,11 +264,19 @@ func (s *Suite) PenaltySensitivity(sc workload.Scenario, lvl workload.QoSLevel) 
 	return rows, nil
 }
 
-// penaltyThroughput is a reduced throughput search over nodes carrying a
-// penalty scale.
+// penaltyThroughput is a reduced throughput search (metrics.MaxQPS)
+// over nodes carrying a penalty scale.
 func penaltyThroughput(cfg arch.Config, progs map[string]*compiler.Program, params energy.Params,
 	opt metrics.Options, sc workload.Scenario, lvl workload.QoSLevel, scale float64) (float64, error) {
-	meets := func(qps float64) (bool, error) {
+	return metrics.MaxQPS(penaltyMeets(cfg, progs, params, opt, sc, lvl, scale))
+}
+
+// penaltyMeets is penaltyThroughput's criterion: at least half of the
+// instances meet the SLA, each judged by the early-verdict
+// sim.Node.MeetsSLA.
+func penaltyMeets(cfg arch.Config, progs map[string]*compiler.Program, params energy.Params,
+	opt metrics.Options, sc workload.Scenario, lvl workload.QoSLevel, scale float64) func(float64) (bool, error) {
+	return func(qps float64) (bool, error) {
 		ok := 0
 		for inst := 0; inst < opt.Instances; inst++ {
 			reqs, err := workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
@@ -279,45 +287,16 @@ func penaltyThroughput(cfg arch.Config, progs map[string]*compiler.Program, para
 				Cfg: cfg, Policy: sched.NewSpatial(cfg), Programs: progs,
 				Params: params, PenaltyScale: scale,
 			}
-			out, err := node.Run(reqs)
+			meets, err := node.MeetsSLA(reqs)
 			if err != nil {
 				return false, err
 			}
-			if out.MeetsSLA {
+			if meets {
 				ok++
 			}
 		}
 		return float64(ok) >= 0.5*float64(opt.Instances), nil
 	}
-	lo, hi := 0.5, 0.5
-	okLo, err := meets(lo)
-	if err != nil || !okLo {
-		return 0, err
-	}
-	for hi < 1<<20 {
-		hi *= 2
-		ok, err := meets(hi)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		lo = hi
-	}
-	for i := 0; i < 10 && hi-lo > 0.05*lo; i++ {
-		mid := (lo + hi) / 2
-		ok, err := meets(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
 }
 
 // FormatPenaltySensitivity renders the sweep.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"planaria/internal/metrics"
 	"planaria/internal/workload"
 )
 
@@ -120,5 +121,82 @@ func TestPenaltySensitivityShape(t *testing.T) {
 	out := FormatPenaltySensitivity(workload.ScenarioC(), workload.QoSMedium, rows)
 	if len(out) == 0 {
 		t.Fatal("empty rendering")
+	}
+}
+
+// uncappedSearch is penaltyThroughput's own search from before it moved
+// onto metrics.MaxQPS: the same doubling and bisection, but without the
+// early return once the doubling reaches 2^20 QPS.
+func uncappedSearch(meets func(float64) (bool, error)) (float64, error) {
+	lo, hi := 0.5, 0.5
+	okLo, err := meets(lo)
+	if err != nil || !okLo {
+		return 0, err
+	}
+	for hi < 1<<20 {
+		hi *= 2
+		ok, err := meets(hi)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		lo = hi
+	}
+	for i := 0; i < 10 && hi-lo > 0.05*lo; i++ {
+		mid := (lo + hi) / 2
+		ok, err := meets(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
+// TestPenaltySearchCapChangesNothing: metrics.MaxQPS stops at 2^19 QPS
+// when the doubling reaches 2^20, which penaltyThroughput's own search
+// did not. The two can differ only when 2^19 QPS passes — shown on step
+// criteria — and no penalty scale comes near it, so every row is the
+// same under either search.
+func TestPenaltySearchCapChangesNothing(t *testing.T) {
+	for _, limit := range []float64{0.1, 0.5, 0.7, 3, 37.5, 1000, 1 << 18, 1<<19 - 1, 1<<20 - 1} {
+		step := func(qps float64) (bool, error) { return qps <= limit, nil }
+		got, _ := metrics.MaxQPS(step)
+		want, _ := uncappedSearch(step)
+		if limit < 1<<19 && got != want {
+			t.Errorf("limit %g: MaxQPS %g, uncapped search %g", limit, got, want)
+		}
+		if limit >= 1<<19 && got >= want {
+			t.Errorf("limit %g: MaxQPS %g not below uncapped search %g past the cap", limit, got, want)
+		}
+	}
+	if testing.Short() {
+		t.Skip("throughput sweep")
+	}
+	s := testSuite(t)
+	for _, scale := range []float64{0.001, 1, 10, 100} {
+		meets := penaltyMeets(s.Planaria.Cfg, s.Planaria.Programs, s.Planaria.Params, s.Opt,
+			workload.ScenarioC(), workload.QoSMedium, scale)
+		if ok, err := meets(1 << 19); err != nil || ok {
+			t.Fatalf("scale %g: 2^19 QPS meets the SLA (%v, %v); the cap is reachable", scale, ok, err)
+		}
+		got, err := penaltyThroughput(s.Planaria.Cfg, s.Planaria.Programs, s.Planaria.Params, s.Opt,
+			workload.ScenarioC(), workload.QoSMedium, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := uncappedSearch(meets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("scale %g: MaxQPS search %g, uncapped search %g", scale, got, want)
+		}
 	}
 }

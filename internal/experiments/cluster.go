@@ -111,52 +111,17 @@ func clusterEval(sys metrics.System, o ClusterOptions, chips int, policy string,
 	return p, nil
 }
 
-// clusterMaxQPS finds a cell's maximum SLA-meeting arrival rate by
-// doubling then bisecting on the majority-of-instances criterion, the
-// same search metrics.Throughput applies to a single node.
+// clusterMaxQPS finds a cell's maximum SLA-meeting arrival rate with
+// metrics.MaxQPS on the majority-of-instances criterion, the search
+// metrics.Throughput applies to a single node.
 func clusterMaxQPS(sys metrics.System, o ClusterOptions, chips int, policy string) (float64, error) {
-	const (
-		minQPS = 0.5
-		maxQPS = 1 << 20
-	)
-	meets := func(qps float64) (bool, error) {
+	return metrics.MaxQPS(func(qps float64) (bool, error) {
 		p, err := clusterEval(sys, o, chips, policy, qps)
 		if err != nil {
 			return false, err
 		}
 		return p.SLARate >= 0.5, nil
-	}
-	ok, err := meets(minQPS)
-	if err != nil || !ok {
-		return 0, err
-	}
-	lo := minQPS
-	hi := lo
-	for hi < maxQPS {
-		hi *= 2
-		if ok, err = meets(hi); err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		lo = hi
-	}
-	if hi >= maxQPS {
-		return lo, nil
-	}
-	for i := 0; i < 10 && hi-lo > 0.05*lo; i++ {
-		mid := (lo + hi) / 2
-		if ok, err = meets(mid); err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+	})
 }
 
 // ClusterSweep measures cluster scale-out for both systems: every

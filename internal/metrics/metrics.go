@@ -62,37 +62,23 @@ type Aggregate struct {
 
 // Evaluate simulates Options.Instances workload instances at a fixed rate.
 func Evaluate(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options) (Aggregate, error) {
-	if opt.Requests <= 0 || opt.Instances <= 0 {
-		return Aggregate{}, fmt.Errorf("metrics: bad options %+v", opt)
+	if err := opt.check(); err != nil {
+		return Aggregate{}, err
 	}
 	agg := Aggregate{QPS: qps, Fairness: 1}
-	// Instances are independent simulations; run them concurrently and
-	// aggregate in index order so results stay deterministic.
 	outs := make([]*sim.Outcome, opt.Instances)
-	errs := make([]error, opt.Instances)
-	var wg sync.WaitGroup
-	for inst := 0; inst < opt.Instances; inst++ {
-		wg.Add(1)
-		go func(inst int) {
-			defer wg.Done()
-			reqs, err := workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
-			if err != nil {
-				errs[inst] = err
-				return
-			}
-			outs[inst], errs[inst] = sys.node().Run(reqs)
-		}(inst)
+	err := eachInstance(sc, lvl, qps, opt, func(inst int, reqs []workload.Request) (err error) {
+		outs[inst], err = sys.node().Run(reqs)
+		return err
+	})
+	if err != nil {
+		return Aggregate{}, err
 	}
-	wg.Wait()
 	logFairSum := 0.0
 	fairCount := 0
 	var latSum float64
 	var latN int
-	for inst := 0; inst < opt.Instances; inst++ {
-		if errs[inst] != nil {
-			return Aggregate{}, errs[inst]
-		}
-		out := outs[inst]
+	for _, out := range outs {
 		if out.MeetsSLA {
 			agg.SLARate++
 		}
@@ -118,34 +104,100 @@ func Evaluate(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float
 }
 
 // meetsAt reports whether a majority of instances meet the SLA at qps.
+// Only the verdict is needed, so each instance runs under
+// sim.Node.MeetsSLA, which stops as soon as its answer is certain; the
+// instances and the majority arithmetic are Evaluate's.
 func meetsAt(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options) (bool, error) {
-	a, err := Evaluate(sys, sc, lvl, qps, opt)
+	if err := opt.check(); err != nil {
+		return false, err
+	}
+	meets := make([]bool, opt.Instances)
+	err := eachInstance(sc, lvl, qps, opt, func(inst int, reqs []workload.Request) (err error) {
+		meets[inst], err = sys.node().MeetsSLA(reqs)
+		return err
+	})
 	if err != nil {
 		return false, err
 	}
-	return a.SLARate >= 0.5, nil
+	slaRate := 0.0
+	for _, ok := range meets {
+		if ok {
+			slaRate++
+		}
+	}
+	slaRate /= float64(opt.Instances)
+	return slaRate >= 0.5, nil
 }
 
-// Throughput finds the maximum sustainable QPS under the SLA by doubling
-// then bisecting. Returns 0 when even minQPS fails.
+// check rejects options that describe no simulation.
+func (o Options) check() error {
+	if o.Requests <= 0 || o.Instances <= 0 {
+		return fmt.Errorf("metrics: bad options %+v", o)
+	}
+	return nil
+}
+
+// eachInstance generates every instance's request stream and runs f on
+// it, all instances concurrently. They are independent simulations, so
+// f writes only its own instance's slot and callers aggregate in index
+// order, which keeps results deterministic. The first error in index
+// order is returned.
+func eachInstance(sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options,
+	f func(inst int, reqs []workload.Request) error) error {
+	errs := make([]error, opt.Instances)
+	var wg sync.WaitGroup
+	for inst := 0; inst < opt.Instances; inst++ {
+		wg.Add(1)
+		go func(inst int) {
+			defer wg.Done()
+			reqs, err := workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
+			if err != nil {
+				errs[inst] = err
+				return
+			}
+			errs[inst] = f(inst, reqs)
+		}(inst)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Throughput finds the maximum sustainable QPS under the SLA: the
+// largest rate at which a majority of instances meet it (MaxQPS).
+// Returns 0 when even the lowest probed rate fails.
 func Throughput(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Options) (float64, error) {
+	return MaxQPS(func(qps float64) (bool, error) {
+		return meetsAt(sys, sc, lvl, qps, opt)
+	})
+}
+
+// MaxQPS is the throughput search every harness shares: starting at
+// 0.5 QPS it doubles the rate while meets holds, then bisects between
+// the last passing and the first failing rate until they are within 5%
+// (at most 10 steps), and returns the last passing rate. It returns 0
+// when 0.5 QPS already fails, and stops at 2^19 QPS without bisecting
+// when the doubling reaches 2^20. meets is each caller's own criterion
+// (majority of instances, of clusters, ...); the first error aborts the
+// search.
+func MaxQPS(meets func(qps float64) (bool, error)) (float64, error) {
 	const (
 		minQPS = 0.5
 		maxQPS = 1 << 20
 	)
-	ok, err := meetsAt(sys, sc, lvl, minQPS, opt)
-	if err != nil {
+	ok, err := meets(minQPS)
+	if err != nil || !ok {
 		return 0, err
-	}
-	if !ok {
-		return 0, nil
 	}
 	lo := minQPS
 	hi := lo
 	for hi < maxQPS {
 		hi *= 2
-		ok, err := meetsAt(sys, sc, lvl, hi, opt)
-		if err != nil {
+		if ok, err = meets(hi); err != nil {
 			return 0, err
 		}
 		if !ok {
@@ -158,8 +210,7 @@ func Throughput(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Opt
 	}
 	for i := 0; i < 10 && hi-lo > 0.05*lo; i++ {
 		mid := (lo + hi) / 2
-		ok, err := meetsAt(sys, sc, lvl, mid, opt)
-		if err != nil {
+		if ok, err = meets(mid); err != nil {
 			return 0, err
 		}
 		if ok {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"testing"
 
 	"planaria/internal/arch"
@@ -99,6 +100,61 @@ func TestThroughputFindsSaturation(t *testing.T) {
 	}
 	if ok {
 		t.Errorf("4x the reported throughput still meets the SLA — search under-estimated")
+	}
+}
+
+// TestThroughputMatchesFullRuns: the verdict-only probes decide every
+// rate exactly as full runs judged by Evaluate's SLA rate would, so the
+// search lands on the same throughput.
+func TestThroughputMatchesFullRuns(t *testing.T) {
+	sys, sc := fastSystem(t)
+	for _, lvl := range workload.Levels {
+		got, err := Throughput(sys, sc, lvl, fastOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MaxQPS(func(qps float64) (bool, error) {
+			a, err := Evaluate(sys, sc, lvl, qps, fastOpt())
+			return a.SLARate >= 0.5, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: Throughput %g, full-run search %g", lvl.Name, got, want)
+		}
+	}
+}
+
+// TestMaxQPSStepCriterion: on a step criterion the search returns a
+// passing rate within 5% of the step, 0 when even 0.5 QPS fails, and
+// the first error it meets.
+func TestMaxQPSStepCriterion(t *testing.T) {
+	for _, limit := range []float64{0.4, 0.5, 0.9, 7, 123.4, 5000, 1 << 18} {
+		got, err := MaxQPS(func(qps float64) (bool, error) { return qps <= limit, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit < 0.5 {
+			if got != 0 {
+				t.Errorf("limit %g: got %g, want 0", limit, got)
+			}
+			continue
+		}
+		if got > limit || got < limit/1.05 {
+			t.Errorf("limit %g: got %g, want within 5%% below", limit, got)
+		}
+	}
+	boom := errors.New("probe failed")
+	calls := 0
+	if _, err := MaxQPS(func(qps float64) (bool, error) {
+		calls++
+		if qps > 10 {
+			return false, boom
+		}
+		return true, nil
+	}); !errors.Is(err, boom) || calls != 6 {
+		t.Errorf("err = %v after %d probes, want the probe error after 6", err, calls)
 	}
 }
 

@@ -14,7 +14,6 @@ package prema
 
 import (
 	"fmt"
-	"sort"
 
 	"planaria/internal/arch"
 	"planaria/internal/obs"
@@ -32,22 +31,20 @@ type Token struct {
 	// are re-evaluated.
 	SchedulingQuantum float64
 
-	tokens map[int]float64
-	last   map[int]float64
-
-	// Scratch reused across AllocateInto invocations: the live-task set
-	// and the sorted stale-token worklist.
-	live  map[int]bool
-	stale []int
-
-	// health is the physical chip's fault mask (empty = untracked). The
-	// monolithic array cannot re-fission around dead subarrays, so its
-	// only degradation is a uniform throughput derate by the alive
-	// fraction — which the serving engine applies (sim.FaultDerate).
-	// PREMA's shortest-estimated-job-first ordering is invariant under a
-	// uniform derate, so the mask only rescales the absolute estimates
-	// reported to observability.
-	health arch.HealthMask
+	// state holds each queued task's token in a slice indexed by the
+	// task's input position (sim.Task.Pos) modulo its power-of-two
+	// length, which stays at least the span of positions in one
+	// decision, so no two queued tasks share a slot and the table stays
+	// as small as the queue's window of the stream. An entry is live
+	// only if the immediately preceding decision round stamped it for
+	// the same position: a task absent from one decision has left
+	// (retired, shed, or waiting out a retry backoff) and rejoins with a
+	// fresh token, while a killed task that rejoins before the next
+	// decision keeps its own.
+	state []taskToken
+	// round counts decisions; state entries carry the round that last
+	// stamped them.
+	round uint64
 
 	// Observability probes (nil-safe no-ops when unset).
 	cDecisions *obs.Counter
@@ -58,6 +55,15 @@ type Token struct {
 	haveDisp   bool
 }
 
+// taskToken is one task's accrued token, the instant it was last
+// accrued, and the decision round and task position that last stamped
+// it.
+type taskToken struct {
+	token, last float64
+	round       uint64
+	pos         int
+}
+
 // NewToken returns the PREMA policy with the defaults used in the
 // evaluation: a 90% candidate threshold and a 500 µs quantum.
 func NewToken(cfg arch.Config) *Token {
@@ -65,8 +71,6 @@ func NewToken(cfg arch.Config) *Token {
 		Cfg:               cfg,
 		CandidateFraction: 0.9,
 		SchedulingQuantum: 500e-6,
-		tokens:            make(map[int]float64),
-		last:              make(map[int]float64),
 	}
 }
 
@@ -88,19 +92,13 @@ func (p *Token) SetObserver(o *obs.Observer) {
 // Quantum implements sim.Policy.
 func (p *Token) Quantum() float64 { return p.SchedulingQuantum }
 
-// SetHealth implements sim.HealthAware.
-func (p *Token) SetHealth(mask arch.HealthMask) { p.health = mask }
-
-// EffectiveRemaining rescales a task's remaining time by the degraded
-// chip's throughput: the monolithic array runs at the alive fraction of
-// its nominal rate.
-func (p *Token) EffectiveRemaining(t *sim.Task, total int) float64 {
-	rem := p.Cfg.Seconds(t.RemainingCycles(total))
-	if f := p.health.Fraction(); f > 0 && f < 1 {
-		rem /= f
-	}
-	return rem
-}
+// SetHealth implements sim.HealthAware as a no-op. The monolithic array
+// cannot re-fission around dead subarrays, so its only degradation is a
+// uniform throughput derate by the alive fraction, which the serving
+// engine applies (sim.FaultDerate). A uniform derate scales every
+// task's remaining time alike and leaves the shortest-estimated-job
+// ordering, and so every decision, unchanged.
+func (p *Token) SetHealth(arch.HealthMask) {}
 
 // Allocate implements sim.Policy: exactly one task owns the whole
 // monolithic accelerator at a time.
@@ -112,7 +110,7 @@ func (p *Token) Allocate(now float64, tasks []*sim.Task, total int) map[int]int 
 }
 
 // AllocateInto implements sim.SliceAllocator (same decision, no result
-// map; the token-accounting maps persist on the policy either way).
+// map; the token state persists on the policy either way).
 func (p *Token) AllocateInto(now float64, tasks []*sim.Task, total int, dst []int) {
 	if len(tasks) == 0 {
 		return
@@ -120,54 +118,47 @@ func (p *Token) AllocateInto(now float64, tasks []*sim.Task, total int, dst []in
 	dst[p.decide(now, tasks, total)] = total
 }
 
-// decide runs one token-policy round — accrual, stale-token GC,
-// candidate filtering, shortest-estimated-job tie-break — and returns the
-// position of the dispatched task, mutating the token state.
+// decide runs one token-policy round — accrual, candidate filtering,
+// shortest-estimated-job tie-break — and returns the position of the
+// dispatched task, mutating the token state.
 func (p *Token) decide(now float64, tasks []*sim.Task, total int) int {
+	lo, hi := tasks[0].Pos(), tasks[0].Pos()
+	for _, t := range tasks[1:] {
+		lo, hi = min(lo, t.Pos()), max(hi, t.Pos())
+	}
+	prev := p.round
+	if span := hi - lo + 1; span > len(p.state) {
+		p.grow(span, prev)
+	}
+	p.round++
+
 	// Accrue tokens: priority × waiting time (milliseconds) since the
 	// last update; running tasks do not accrue.
-	if p.live == nil {
-		p.live = make(map[int]bool, len(tasks))
-	}
-	clear(p.live)
 	for _, t := range tasks {
-		p.live[t.ID] = true
-		lastT, seen := p.last[t.ID]
-		if !seen {
-			// Initial token equals the priority, as in PREMA.
-			p.tokens[t.ID] = float64(t.Req.Priority)
-			p.last[t.ID] = now
+		st := p.slot(t.Pos())
+		if st.round == 0 || st.round != prev || st.pos != t.Pos() {
+			// Not in the previous decision: the initial token equals
+			// the priority, as in PREMA.
+			*st = taskToken{token: float64(t.Req.Priority), last: now, round: p.round, pos: t.Pos()}
 			continue
 		}
 		if t.Alloc == 0 {
-			p.tokens[t.ID] += float64(t.Req.Priority) * (now - lastT) * 1e3
+			st.token += float64(t.Req.Priority) * (now - st.last) * 1e3
 		}
-		p.last[t.ID] = now
-	}
-	stale := p.stale[:0]
-	for id := range p.tokens {
-		stale = append(stale, id)
-	}
-	p.stale = stale
-	sort.Ints(stale)
-	for _, id := range stale {
-		if !p.live[id] {
-			delete(p.tokens, id)
-			delete(p.last, id)
-		}
+		st.last, st.round = now, p.round
 	}
 
 	// Candidate set: tokens within CandidateFraction of the maximum.
 	maxTok := 0.0
 	for _, t := range tasks {
-		if p.tokens[t.ID] > maxTok {
-			maxTok = p.tokens[t.ID]
+		if tok := p.slot(t.Pos()).token; tok > maxTok {
+			maxTok = tok
 		}
 	}
 	best := -1
 	bestRem := int64(0)
 	for i, t := range tasks {
-		if p.tokens[t.ID] < p.CandidateFraction*maxTok {
+		if p.slot(t.Pos()).token < p.CandidateFraction*maxTok {
 			continue
 		}
 		rem := t.RemainingCycles(total)
@@ -188,15 +179,40 @@ func (p *Token) decide(now float64, tasks []*sim.Task, total int) int {
 			if p.tracer != nil {
 				p.tracer.Instant("prema", fmt.Sprintf("dispatch task %d", bt.ID), now,
 					obs.Str("model", bt.Req.Model),
-					obs.Num("token", p.tokens[bt.ID]),
+					obs.Num("token", p.slot(bt.Pos()).token),
 					obs.Num("max_token", maxTok))
 			}
 		}
 		p.dispatched, p.haveDisp = bt.ID, true
 	}
 	// The dispatched task's token resets, as in PREMA, so others catch up.
-	p.tokens[bt.ID] = float64(bt.Req.Priority)
+	p.slot(bt.Pos()).token = float64(bt.Req.Priority)
 	return best
+}
+
+// slot returns the token entry of the task at input position pos.
+func (p *Token) slot(pos int) *taskToken {
+	return &p.state[pos&(len(p.state)-1)]
+}
+
+// grow resizes the token table for a decision whose positions span
+// span: to the smallest power of two (at least 8) holding twice the
+// span, so a queue sliding along the stream rarely resizes. Entries the
+// previous round stamped move to their new slots; they spanned at most
+// the old length, so they stay distinct. Older entries are dead and
+// dropped.
+func (p *Token) grow(span int, prev uint64) {
+	n := 8
+	for n < 2*span {
+		n *= 2
+	}
+	old := p.state
+	p.state = make([]taskToken, n)
+	for _, e := range old {
+		if e.round != 0 && e.round == prev {
+			*p.slot(e.pos) = e
+		}
+	}
 }
 
 var _ obs.Observable = (*Token)(nil)

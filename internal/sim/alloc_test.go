@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"planaria/internal/workload"
 )
 
 // The event-engine work (DESIGN.md §12) guarantees that steady-state
@@ -110,5 +112,55 @@ func TestRetryHeapOrder(t *testing.T) {
 	}
 	if h.Len() != 0 {
 		t.Fatalf("heap not drained: %d left", h.Len())
+	}
+}
+
+// TestMeetsSLAAllocParity: the verdict path allocates nothing per run
+// beyond what Run does — its per-domain tallies live in the pooled
+// scratch — whether the verdict comes early or after the last request.
+func TestMeetsSLAAllocParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; allocation counts vary per run")
+	}
+	node, prog := testNode(t, &splitPolicy{})
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	domains := []string{"classification", "detection", "translation"}
+	stream := func(qos float64) []workload.Request {
+		reqs := make([]workload.Request, 120)
+		for i := range reqs {
+			reqs[i] = req(i, float64(i)*iso/2, qos, 1+i%11)
+			reqs[i].Domain = domains[i%len(domains)]
+		}
+		return reqs
+	}
+	for _, c := range []struct {
+		name string
+		reqs []workload.Request
+		want bool
+	}{
+		{"meets", stream(1e3 * iso), true},
+		{"doomed", stream(1.5 * iso), false},
+	} {
+		run := func() {
+			if _, err := node.Run(c.reqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		verdict := func() {
+			ok, err := node.MeetsSLA(c.reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != c.want {
+				t.Fatalf("%s: MeetsSLA = %v, want %v", c.name, ok, c.want)
+			}
+		}
+		run()
+		verdict()
+		aRun := testing.AllocsPerRun(50, run)
+		aVerdict := testing.AllocsPerRun(50, verdict)
+		if aVerdict > aRun {
+			t.Errorf("%s: MeetsSLA allocates %.1f/op, Run %.1f/op (want no more)", c.name, aVerdict, aRun)
+		}
 	}
 }

@@ -39,6 +39,11 @@ var (
 	ErrBadWork = errors.New("sim: request work is negative or not finite")
 )
 
+// ErrVerdictSink is returned by Node.MeetsSLA when the node has a
+// recording sink attached (Trace, Obs, Attrib or Occ): a verdict run
+// stops early, so it would leave a truncated artifact behind.
+var ErrVerdictSink = errors.New("sim: MeetsSLA needs a node without Trace, Obs, Attrib or Occ")
+
 // Outcome aggregates one simulated workload instance.
 type Outcome struct {
 	// Finishes[i] is the completion time of the i-th request of the
@@ -160,6 +165,25 @@ type nodeScratch struct {
 	prevUsable []bool
 }
 
+// slaDomain is one domain's request count and definite misses so far,
+// the state of MeetsSLA's early verdict.
+type slaDomain struct {
+	name          string
+	total, misses int
+}
+
+// domainIndex returns the slot of domain in doms, appending one on first
+// sight. The handful of domains is scanned linearly, like workload's own
+// SLA tallies.
+func domainIndex(doms []slaDomain, domain string) ([]slaDomain, int) {
+	for i := range doms {
+		if doms[i].name == domain {
+			return doms, i
+		}
+	}
+	return append(doms, slaDomain{name: domain}), len(doms)
+}
+
 var nodeScratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 
 // penaltyScale returns the effective multiplier.
@@ -176,9 +200,43 @@ func (n *Node) penaltyScale() float64 {
 // Run simulates the requests to completion and computes the outcome
 // metrics. Isolated times for fairness come from each program's
 // full-allocation table.
+func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
+	return n.run(reqs, false)
+}
+
+// MeetsSLA reports what Run(reqs).MeetsSLA would, simulating only until
+// the answer is certain. It runs Run's own event loop and counts each
+// request's definite misses as they happen: a retirement later than its
+// deadline, a shed (admission control or an exhausted retry budget), a
+// reject, and a drain after the chip dies. As soon as some domain's
+// misses leave its best case — every other request on time — short of
+// the SLA target (workload.DomainFails), it returns false without
+// simulating the rest; otherwise the run completes and the verdict is
+// Run's. Requests still in flight are never counted early.
+//
+// Caveat: an error the full run would hit after that point (a policy
+// stall, the livelock guard, a strict-mode unknown model arriving
+// later) is not reached, so MeetsSLA returns false, nil where Run
+// returns the error. Errors up to the verdict are Run's own. A node with
+// a recording sink attached fails with ErrVerdictSink instead of
+// leaving a truncated trace, metrics view or ledger.
+func (n *Node) MeetsSLA(reqs []workload.Request) (bool, error) {
+	if n.Trace != nil || n.Obs != nil || n.Attrib != nil || n.Occ != nil {
+		return false, ErrVerdictSink
+	}
+	out, err := n.run(reqs, true)
+	if err != nil {
+		return false, err
+	}
+	return out.MeetsSLA, nil
+}
+
+// run is Run's event loop. With verdict set it also tallies per-domain
+// misses and returns as soon as the SLA cannot hold; the Outcome is then
+// partial, with MeetsSLA false.
 //
 //perf:hot serving steady state: the per-event loop must not allocate (DESIGN.md §13)
-func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
+func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 	if n.Policy == nil {
 		return nil, fmt.Errorf("sim: node has no policy")
 	}
@@ -202,9 +260,13 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	// construction), and strictly increasing arrivals (the Poisson
 	// streams and the cluster's chronological dispatch order — the input
 	// is then its own calendar). It also sums the fairness priorities in
-	// input order.
+	// input order and, for a verdict run, counts each domain's requests.
 	identityIDs, increasingIDs, aliased := true, true, true
 	prioSum := 0.0
+	// The verdict's per-domain tallies: a handful of domains, held on
+	// the stack.
+	var domainBuf [4]slaDomain
+	domains := domainBuf[:0]
 	for i := range reqs {
 		r := &reqs[i]
 		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
@@ -225,6 +287,11 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 			}
 		}
 		prioSum += float64(r.Priority)
+		if verdict {
+			var d int
+			domains, d = domainIndex(domains, r.Domain)
+			domains[d].total++
+		}
 	}
 
 	// ID → input position. Identity streams use the ID itself and an
@@ -348,6 +415,18 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	finished := 0
 	minPP, maxPP := math.Inf(1), 0.0
 
+	// Early verdict: miss charges one definite SLA miss to a domain, and
+	// doomed is set once that domain's best case fails the SLA.
+	doomed := false
+	miss := func(domain string) {
+		_, d := domainIndex(domains, domain)
+		dc := &domains[d]
+		dc.misses++
+		if workload.DomainFails(dc.name, dc.total-dc.misses, dc.total) {
+			doomed = true
+		}
+	}
+
 	now := pending[0].Arrival
 	firstArrival := now
 	nextPending := 0
@@ -385,6 +464,9 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 				cRequests.Inc()
 				cRejects.Inc()
 				out.Rejected++
+				if verdict {
+					miss(r.Domain)
+				}
 				if led != nil {
 					led.Terminal(pos, r.Arrival, r.Arrival, obs.PhaseQueueWait, obs.CauseRejected)
 				}
@@ -400,6 +482,9 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 				}
 				cSheds.Inc()
 				out.Shed++
+				if verdict {
+					miss(r.Domain)
+				}
 				if led != nil {
 					led.Terminal(pos, r.Arrival, now, obs.PhaseQueueWait, obs.CauseShedChip)
 				}
@@ -438,6 +523,9 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 				cSheds.Inc()
 				out.Shed++
 				out.EnergyJ += e.t.EnergyJ
+				if verdict {
+					miss(e.t.Req.Domain)
+				}
 				if led != nil {
 					led.Close(e.t.pos, now, obs.CauseShedRetries)
 				}
@@ -475,6 +563,9 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 			cSheds.Inc()
 			out.Shed++
 			out.EnergyJ += t.EnergyJ
+			if verdict {
+				miss(t.Req.Domain)
+			}
 			if led != nil {
 				led.Close(t.pos, now, obs.CauseShedRetries)
 			}
@@ -579,6 +670,11 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	refAt := math.Inf(1)
 
 	for iter := 0; ; iter++ {
+		if doomed {
+			// Verdict run: the SLA cannot hold whatever happens next, and
+			// the partial Outcome reports MeetsSLA false.
+			return out, nil
+		}
 		if iter > maxIter {
 			return nil, fmt.Errorf("sim: exceeded %d events (livelock?) at t=%.9f: %d tasks, %d retries queued, %d/%d arrivals admitted",
 				maxIter, now, len(tasks), retryQ.Len(), nextPending, len(pending))
@@ -639,13 +735,16 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 			// still-to-arrive request can ever be served. Drain them all
 			// as shed and end the run gracefully — their Finishes stay
 			// -1 and count against the SLA.
-			shedOne := func(at float64, pos, id int, model string, attempt int, energy float64) {
+			shedOne := func(at float64, pos, id int, model, domain string, attempt int, energy float64) {
 				if tracing {
 					n.Trace.record(Event{Time: at, Kind: EvShed, Task: id, Model: model, Attempt: attempt})
 				}
 				cSheds.Inc()
 				out.Shed++
 				out.EnergyJ += energy
+				if verdict {
+					miss(domain)
+				}
 				if led != nil {
 					// Terminal works for open and never-opened records
 					// alike: the Open half degrades to a zero-length mark
@@ -654,12 +753,12 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 				}
 			}
 			for _, t := range tasks {
-				shedOne(now, t.pos, t.ID, t.Req.Model, t.Attempts, t.EnergyJ)
+				shedOne(now, t.pos, t.ID, t.Req.Model, t.Req.Domain, t.Attempts, t.EnergyJ)
 			}
 			tasks = tasks[:0]
 			for retryQ.Len() > 0 {
 				e := retryQ.pop()
-				shedOne(now, e.t.pos, e.t.ID, e.t.Req.Model, e.t.Attempts, e.t.EnergyJ)
+				shedOne(now, e.t.pos, e.t.ID, e.t.Req.Model, e.t.Req.Domain, e.t.Attempts, e.t.EnergyJ)
 			}
 			for ; nextPending < len(pending); nextPending++ {
 				r := pending[nextPending]
@@ -675,7 +774,7 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 						pos = index[r.ID]
 					}
 				}
-				shedOne(r.Arrival, pos, r.ID, r.Model, 0, 0)
+				shedOne(r.Arrival, pos, r.ID, r.Model, r.Domain, 0, 0)
 			}
 			break
 		}
@@ -927,6 +1026,9 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 				}
 				if led != nil {
 					led.Close(t.pos, now, obs.CauseDone)
+				}
+				if verdict && !workload.OnTime(now, t.Req.Deadline) {
+					miss(t.Req.Domain)
 				}
 				idx := t.pos
 				out.Finishes[idx] = now

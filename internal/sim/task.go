@@ -59,6 +59,20 @@ type Task struct {
 	phase obs.Phase
 }
 
+// NewTask returns a queued task for req at input position pos, the
+// record Node.Run builds at admit. It is for driving a Policy outside
+// the engine (unit tests, tools); tasks inside a run come from the
+// engine only.
+func NewTask(pos int, req workload.Request, prog *compiler.Program) *Task {
+	return &Task{ID: req.ID, Req: req, Prog: prog, Finish: -1, pos: pos}
+}
+
+// Pos returns the task's position in the request slice passed to
+// Node.Run, the index its Outcome entries use. Positions are unique
+// within a run, below len(reqs), and stable across kills and retries, so
+// a policy can keep per-task state in a slice indexed by Pos.
+func (t *Task) Pos() int { return t.pos }
+
 // Done reports whether the task has completed every layer.
 func (t *Task) Done() bool {
 	return t.Layer >= len(t.Prog.Table(1).Layers)

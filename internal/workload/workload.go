@@ -171,6 +171,21 @@ func domainOf(model string) string {
 	}
 }
 
+// OnTime reports whether a request finishing at finish met its deadline.
+// A negative finish marks an unfinished request (shed, rejected, or
+// dropped), which is never on time.
+func OnTime(finish, deadline float64) bool {
+	return finish >= 0 && finish <= deadline+1e-12
+}
+
+// DomainFails is the MLPerf server predicate for one domain: ok of total
+// requests within deadline fall short of SLATarget. Every SLA verdict in
+// the repository — the tallies below and the serving engine's early
+// verdict (sim.Node.MeetsSLA) — decides through it.
+func DomainFails(domain string, ok, total int) bool {
+	return float64(ok) < SLATarget(domain)*float64(total)-1e-9
+}
+
 // MeetsSLA reports whether a completed workload instance satisfies the
 // MLPerf server SLA: per domain, the within-deadline fraction must reach
 // SLATarget. finishes[i] < 0 marks an unfinished request (never
@@ -185,12 +200,12 @@ func MeetsSLA(reqs []Request, finishes []float64) bool {
 		r := &reqs[i]
 		per, c = domSlot(per, r.Domain)
 		c.total++
-		if finishes[i] >= 0 && finishes[i] <= r.Deadline+1e-12 {
+		if OnTime(finishes[i], r.Deadline) {
 			c.ok++
 		}
 	}
 	for i := range per {
-		if float64(per[i].ok) < SLATarget(per[i].dom)*float64(per[i].total)-1e-9 {
+		if DomainFails(per[i].dom, per[i].ok, per[i].total) {
 			return false
 		}
 	}
@@ -216,14 +231,14 @@ func SLAOutcome(reqs []Request, finishes []float64) (bool, float64) {
 		r := &reqs[i]
 		per, c = domSlot(per, r.Domain)
 		c.total++
-		if finishes[i] >= 0 && finishes[i] <= r.Deadline+1e-12 {
+		if OnTime(finishes[i], r.Deadline) {
 			c.ok++
 			ok++
 		}
 	}
 	meets := true
 	for i := range per {
-		if float64(per[i].ok) < SLATarget(per[i].dom)*float64(per[i].total)-1e-9 {
+		if DomainFails(per[i].dom, per[i].ok, per[i].total) {
 			meets = false
 			break
 		}
@@ -251,7 +266,7 @@ func SLAOutcomeFlat(domIDs []uint8, domNames []string, deadlines, finishes []flo
 	for i := 0; i < n; i++ {
 		d := domIDs[i]
 		totPer[d]++
-		if finishes[i] >= 0 && finishes[i] <= deadlines[i]+1e-12 {
+		if OnTime(finishes[i], deadlines[i]) {
 			okPer[d]++
 			ok++
 		}
@@ -261,7 +276,7 @@ func SLAOutcomeFlat(domIDs []uint8, domNames []string, deadlines, finishes []flo
 		if totPer[d] == 0 {
 			continue
 		}
-		if float64(okPer[d]) < SLATarget(name)*float64(totPer[d])-1e-9 {
+		if DomainFails(name, okPer[d], totPer[d]) {
 			meets = false
 			break
 		}
@@ -300,7 +315,7 @@ func DeadlineFraction(reqs []Request, finishes []float64) float64 {
 	}
 	ok := 0
 	for i := range reqs {
-		if finishes[i] >= 0 && finishes[i] <= reqs[i].Deadline+1e-12 {
+		if OnTime(finishes[i], reqs[i].Deadline) {
 			ok++
 		}
 	}
@@ -317,7 +332,7 @@ func TailLatencySlack(reqs []Request, finishes []float64) float64 {
 		r := &reqs[i]
 		per, c = domSlot(per, r.Domain)
 		c.total++
-		if i < len(finishes) && finishes[i] >= 0 && finishes[i] <= r.Deadline+1e-12 {
+		if i < len(finishes) && OnTime(finishes[i], r.Deadline) {
 			c.ok++
 		}
 	}
