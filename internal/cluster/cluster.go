@@ -220,14 +220,6 @@ type Outcome struct {
 	Attrib *Attribution
 }
 
-// workOf returns a request's work multiplier (0 means 1).
-func workOf(r workload.Request) float64 {
-	if r.Work > 0 {
-		return r.Work
-	}
-	return 1
-}
-
 // healthSteps is a chip's precomputed alive-subarray step function,
 // replayed once from its fault schedule so the balancer can consult chip
 // health at any dispatch instant without running the chip first.
@@ -279,13 +271,12 @@ func (h *healthSteps) aliveAt(t float64, total int) int {
 // dispatchRec is one routed dispatch group: the chip it went to, its
 // position within the chip's request slice, and the input indices whose
 // completions fan out from it. The merged request's adjusted fields are
-// captured as scalars at routing time so the layout phase can rebuild
+// captured as scalars at routing time so the layout stage can rebuild
 // it straight into the escaping backing array — a leader copy plus five
-// scalar writes — with no intermediate merged-request buffer to pool,
-// copy out of, and GC-scan.
+// scalar writes.
 // On autoscaled runs chip can also be a tombstone: -1 marks a group shed
 // during a drain (ShedDrain), -2 a group migrated away (a later record
-// serves its members); both are skipped by the layout and merge phases.
+// serves its members); both are skipped by the layout and merge stages.
 type dispatchRec struct {
 	chip     int
 	pos      int     // position within the chip's request slice
@@ -306,14 +297,10 @@ type openBatch struct {
 	closed  bool
 }
 
-// admitted is one stage-1 grant: the input index and its admit instant.
 // admitted is one admitted request: its input position, admission
 // instant, and interned model ID (position in the run's first-seen model
-// list, captured while the request's cache line is hot so the batching
-// stage never re-gathers through the 96-byte-stride request array).
-// int32 positions keep the record at 16 pointer-free bytes — the admits
-// buffer is the largest piece of pooled scratch, and at serving scale
-// its footprint is pure memory traffic.
+// list). int32 positions keep the record at 16 pointer-free bytes — the
+// admits buffer is the largest piece of pooled scratch.
 type admitted struct {
 	at    float64
 	idx   int32
@@ -329,16 +316,10 @@ type admitted struct {
 // any sync.Pool).
 type runScratch struct {
 	admits      []admitted
-	works       []float64
-	arrs        []float64
-	dls         []float64
-	prios       []int32
-	doms        []uint8
 	dispatches  []dispatchRec
 	ends        []float64 // autoscaled runs: estimated completion per dispatch record
 	memberArena []int
-	frontA      []sim.Event
-	frontB      []sim.Event
+	events      []sim.Event  // traced runs: stage-1 and dispatch-time front-door events
 	batchPool   []*openBatch // free list of recycled batch windows
 	queue       []*openBatch // FIFO of open windows, reused run to run
 }
@@ -356,183 +337,228 @@ func grow[T any](buf []T, n int) []T {
 // Run serves the request stream through the cluster front end and the N
 // chip simulations, then merges per-chip outcomes back onto the original
 // stream. Requests must have unique IDs; each is dispatched to at most
-// one chip.
-//
-//perf:hot cluster front-end steady state: admit/batch/dispatch per request without allocating (DESIGN.md §13)
+// one chip. A request with a non-finite arrival or a negative or
+// non-finite Work fails the run before anything is served
+// (sim.ErrBadArrival, sim.ErrBadWork).
 func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
-	if err := cfg.validate(); err != nil {
+	sc := scratchPool.Get().(*runScratch)
+	f := &frontEnd{runScratch: *sc}
+	defer func() {
+		sc.admits, sc.dispatches, sc.ends = f.admits[:0], f.dispatches[:0], f.ends[:0]
+		sc.memberArena, sc.events = f.memberArena[:0], f.events[:0]
+		sc.batchPool, sc.queue = f.batchPool, f.queue[:0]
+		scratchPool.Put(sc)
+	}()
+	if err := f.setup(cfg, reqs); err != nil {
 		return nil, err
 	}
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("cluster: no requests")
+	f.admit()
+	f.walk()
+	if err := f.runChips(f.layout()); err != nil {
+		return nil, err
 	}
+	f.merge()
+	f.export()
+	return f.out, nil
+}
+
+// frontEnd is one Run's state. Run drives it through its stages in
+// order — setup (validate and build), admit, the dispatch walk, layout,
+// run chips, merge, export — one method each; the per-request work
+// lives in admitOne and dispatch. Everything runs on one goroutine
+// except the chip simulations, which write only their own results.
+type frontEnd struct {
+	runScratch // pooled buffers, handed back by Run
+
+	cfg  Config
+	reqs []workload.Request
+	out  *Outcome
+
+	balancer  Balancer
+	admission *admissionState // nil: admission control off
+	asc       *autoscaler     // nil: static fleet
+	health    []*healthSteps  // per chip; nil entries are always healthy
+	totalSub  int
+	// iso is each model's isolated full-chip execution time, the
+	// backlog estimate unit (the same estimate metrics.MinNodes uses).
+	iso map[string]float64
+
+	batching bool
+	maxBatch int
+	alpha    float64
+
+	order        []int // admission walk order; nil means input order
+	firstArrival float64
+
+	// Models intern on first sight; isoByID caches each one's iso entry
+	// so the dispatch walk indexes a flat slice instead of hashing.
+	modelNames []string
+	isoByID    []float64
+
+	// Dispatch-walk state.
+	chipCounts   []int     // groups laid out per chip so far
+	busyUntil    []float64 // estimated end of each chip's backlog
+	views        []ChipView
+	membersTotal int
+	openList     []*openBatch // open windows, at most one per model
+	qHead        int          // head of the window FIFO (queue)
+
+	// Observability (nil handles are no-ops when off). Trace events go
+	// to events, or for the future-dated EvScaleDown of a traced
+	// autoscaled run to retires; call sites check Config.Trace before
+	// building one, since constructing a sim.Event costs real time per
+	// request even when nothing records it.
+	retires                                    []sim.Event
+	reg                                        *obs.Registry
+	tracer                                     *obs.TraceBuilder
+	cRequests, cAdmShed, cUnroutable, cBatches *obs.Counter
+	hBatch                                     *obs.Histogram
+	cDispatch                                  []*obs.Counter
+	chipNames                                  []string
+	// Attribution (DESIGN.md §14): a front-door ledger indexed like the
+	// input plus the chip/position links resolved at dispatch.
+	frontLed          *obs.Ledger
+	linkChip, linkPos []int32
+}
+
+// setup validates the configuration and the request stream and builds
+// the run's state. Configuration errors come first, then the first
+// malformed request in input order, then duplicate IDs.
+func (f *frontEnd) setup(cfg Config, reqs []workload.Request) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if len(reqs) == 0 {
+		return fmt.Errorf("cluster: no requests")
+	}
+	f.cfg, f.reqs = cfg, reqs
 	policy := cfg.Policy
 	if policy == "" {
 		policy = "least-work"
 	}
-	balancer, err := NewBalancer(policy)
-	if err != nil {
-		return nil, err
+	var err error
+	if f.balancer, err = NewBalancer(policy); err != nil {
+		return err
 	}
-	admission, err := newAdmissionState(cfg.Admission)
-	if err != nil {
-		return nil, err
+	if f.admission, err = newAdmissionState(cfg.Admission); err != nil {
+		return err
 	}
-	// Per-chip health timelines for routing.
-	health := make([]*healthSteps, cfg.Chips)
-	for i := range health {
+	f.health = make([]*healthSteps, cfg.Chips)
+	for i := range f.health {
 		if cfg.Faults != nil {
-			if health[i], err = healthStepsOf(cfg.Faults[i]); err != nil {
-				return nil, err
+			if f.health[i], err = healthStepsOf(cfg.Faults[i]); err != nil {
+				return err
 			}
 		}
 	}
-	totalSub := cfg.System.Cfg.NumSubarrays()
-
-	// Isolated full-chip execution time per model, the balancer's
-	// backlog estimate unit (same estimate metrics.MinNodes uses).
-	iso := make(map[string]float64, len(cfg.System.Programs))
+	f.totalSub = cfg.System.Cfg.NumSubarrays()
+	f.iso = make(map[string]float64, len(cfg.System.Programs))
 	//det:mapiter-ok independent per-key writes into another map
 	for name, p := range cfg.System.Programs {
-		iso[name] = cfg.System.Cfg.Seconds(p.Table(totalSub).TotalCycles)
+		f.iso[name] = cfg.System.Cfg.Seconds(p.Table(f.totalSub).TotalCycles)
 	}
 
-	// Observability handles (nil-safe no-ops when off).
-	reg := cfg.Obs.Registry()
-	tracer := cfg.Obs.Tracer()
-	cRequests := reg.Counter("cluster_requests_total")
-	cAdmShed := reg.Counter("cluster_admission_shed_total")
-	cUnroutable := reg.Counter("cluster_unroutable_shed_total")
-	cBatches := reg.Counter("cluster_batches_total")
-	//perf:alloc-ok once-per-run metric registration, off the per-request path
-	hBatch := reg.Histogram("cluster_batch_size", []float64{1, 2, 4, 8, 16, 32})
-	cDispatch := make([]*obs.Counter, cfg.Chips)
-	for i := range cDispatch {
-		//perf:alloc-ok per-chip handle interning at run start, not per dispatch
-		cDispatch[i] = reg.Counter("cluster_dispatch_total", obs.L("chip", fmt.Sprintf("%02d", i)))
-	}
-	// Per-chip backlog counter track names, rendered once instead of per
-	// dispatch.
-	var chipNames []string
-	if tracer != nil {
-		chipNames = make([]string, cfg.Chips)
-		for i := range chipNames {
-			chipNames[i] = fmt.Sprintf("chip %02d", i)
-		}
-	}
-
-	// Autoscaled fleet state (nil on static runs: every asc-guarded site
-	// below then costs one untaken branch, keeping the static path's
-	// per-request allocation profile unchanged).
-	var asc *autoscaler
-	if cfg.Scale != nil {
-		asc = newAutoscaler(cfg.Scale, cfg.Chips, reg)
-	}
-
-	// Front-door events accumulate in two runs, each appended in
-	// non-decreasing time order: frontA holds the stage-1 arrival/shed
-	// events, frontB the dispatch-time events. Export merges them stably
-	// (A first on ties) — byte-identical to stable-sorting one combined
-	// buffer, without the O(n log n) re-sort (see exportFront).
-	// Large non-escaping buffers come from the run-scratch pool; see
-	// runScratch for the reuse contract.
-	batching := cfg.BatchWindow > 0
-	sc := scratchPool.Get().(*runScratch)
-	admits := grow(sc.admits, len(reqs))
-	works := grow(sc.works, len(reqs))[:len(reqs)]
-	arrs := grow(sc.arrs, len(reqs))[:len(reqs)]
-	dls := grow(sc.dls, len(reqs))[:len(reqs)]
-	prios := grow(sc.prios, len(reqs))[:len(reqs)]
-	doms := grow(sc.doms, len(reqs))[:len(reqs)]
-	dispCap := 0
-	if !batching {
-		dispCap = len(reqs)
-	}
-	dispatches := grow(sc.dispatches, dispCap)
-	memberArena := grow(sc.memberArena, len(reqs))
-	ends := sc.ends[:0]
-	if asc != nil {
-		ends = grow(sc.ends, dispCap)
-	}
-	// frontC collects the future-dated EvScaleDown retire events an
-	// autoscaled traced run emits out of order; export sorts and merges it.
-	var frontC []sim.Event
-	frontA, frontB := sc.frontA[:0], sc.frontB[:0]
-	if cfg.Trace != nil {
-		frontA = grow(sc.frontA, 2*len(reqs))
-		frontB = grow(sc.frontB, 2*len(reqs))
-	}
-	batchPool := sc.batchPool
-	queue := sc.queue[:0]
-	defer func() {
-		sc.admits, sc.works, sc.dispatches = admits[:0], works[:0], dispatches[:0]
-		sc.arrs, sc.dls, sc.prios, sc.doms = arrs[:0], dls[:0], prios[:0], doms[:0]
-		sc.memberArena, sc.ends = memberArena[:0], ends[:0]
-		sc.frontA, sc.frontB = frontA[:0], frontB[:0]
-		sc.batchPool, sc.queue = batchPool, queue[:0]
-		scratchPool.Put(sc)
-	}()
-	// Call sites guard on tracing before building an event: constructing
-	// the sim.Event argument costs real time per request even when the
-	// closure would just drop it.
-	tracing := cfg.Trace != nil
-	record := func(e sim.Event) {
-		if tracing {
-			frontA = append(frontA, e)
-		}
-	}
-	recordB := func(e sim.Event) {
-		if tracing {
-			frontB = append(frontB, e)
-		}
-	}
-
-	//perf:alloc-ok single result object per run
-	out := &Outcome{
+	f.out = &Outcome{
 		Finishes:   make([]float64, len(reqs)),
 		Latency:    make([]float64, len(reqs)),
 		Dispatched: make([]int, cfg.Chips),
-		PerChip:    make([]*ChipResult, cfg.Chips),
 	}
-	if asc != nil {
-		out.Fleet = asc.fleet
+	f.instrument()
+	if err := f.scan(); err != nil {
+		return err
 	}
-	// Attribution wiring (DESIGN.md §14): a front-door ledger indexed
-	// like the input plus the chip/position links resolved at dispatch.
-	// All stamp sites below guard on the obs-typed frontLed, so the
-	// default (Attrib off) path pays only untaken branches.
-	var frontLed *obs.Ledger
-	var linkChip, linkPos []int32
-	if cfg.Attrib {
-		frontLed = obs.NewLedger(len(reqs))
-		linkChip = make([]int32, len(reqs))
-		linkPos = make([]int32, len(reqs))
-		for i := range linkChip {
-			linkChip[i] = -1
-			linkPos[i] = -1
+
+	f.batching = cfg.BatchWindow > 0
+	f.maxBatch = cfg.MaxBatch
+	if f.maxBatch <= 0 {
+		f.maxBatch = int(math.MaxInt32)
+	}
+	f.alpha = cfg.BatchAlpha
+	switch {
+	case f.alpha == 0:
+		f.alpha = DefaultBatchAlpha
+	case f.alpha < 0:
+		f.alpha = 0
+	}
+
+	// Without batching every admit is its own dispatch group, so the
+	// record count is known up front.
+	dispCap := 0
+	if !f.batching {
+		dispCap = len(reqs)
+	}
+	f.admits = grow(f.admits, len(reqs))
+	f.dispatches = grow(f.dispatches, dispCap)
+	f.memberArena = grow(f.memberArena, len(reqs))
+	if f.asc != nil {
+		f.ends = grow(f.ends, dispCap)
+	}
+	if cfg.Trace != nil {
+		f.events = grow(f.events, 2*len(reqs))
+	}
+	f.openList = make([]*openBatch, 0, 8)
+	f.chipCounts = make([]int, cfg.Chips)
+	f.busyUntil = make([]float64, cfg.Chips)
+	f.views = make([]ChipView, cfg.Chips)
+	return nil
+}
+
+// instrument resolves the run's observability handles once, in a fixed
+// registration order, builds the autoscaler (its counters register
+// after the front door's), and opens the attribution ledger when
+// Config.Attrib is on.
+func (f *frontEnd) instrument() {
+	cfg := &f.cfg
+	f.reg, f.tracer = cfg.Obs.Registry(), cfg.Obs.Tracer()
+	f.cRequests = f.reg.Counter("cluster_requests_total")
+	f.cAdmShed = f.reg.Counter("cluster_admission_shed_total")
+	f.cUnroutable = f.reg.Counter("cluster_unroutable_shed_total")
+	f.cBatches = f.reg.Counter("cluster_batches_total")
+	f.hBatch = f.reg.Histogram("cluster_batch_size", []float64{1, 2, 4, 8, 16, 32})
+	f.cDispatch = make([]*obs.Counter, cfg.Chips)
+	for i := range f.cDispatch {
+		f.cDispatch[i] = f.reg.Counter("cluster_dispatch_total", obs.L("chip", fmt.Sprintf("%02d", i)))
+	}
+	if f.tracer != nil {
+		// Backlog counter track names, rendered once instead of per dispatch.
+		f.chipNames = make([]string, cfg.Chips)
+		for i := range f.chipNames {
+			f.chipNames[i] = fmt.Sprintf("chip %02d", i)
 		}
 	}
-	// One pass over the input stream extracts everything the later stages
-	// need from it: the identity-ID fast path (ID == input index, what
-	// workload.Generate emits, is trivially unique and skips the map),
-	// arrival monotonicity, the memoized work multipliers, a flat copy of
-	// the arrival times (the completion merge then touches 8 bytes per
-	// request instead of the whole record), the earliest arrival, and the
-	// not-yet-completed marker fill.
-	identityIDs := true
-	arrivalsSorted := true
-	firstArrival := math.Inf(1)
+	if cfg.Scale != nil {
+		f.asc = newAutoscaler(cfg.Scale, cfg.Chips, f.reg)
+		f.out.Fleet = f.asc.fleet
+	}
+	if cfg.Attrib {
+		n := len(f.reqs)
+		f.frontLed = obs.NewLedger(n)
+		f.linkChip, f.linkPos = make([]int32, n), make([]int32, n)
+		for i := range f.linkChip {
+			f.linkChip[i], f.linkPos[i] = -1, -1
+		}
+	}
+}
+
+// scan is the entry pass over the request stream. It validates every
+// request with sim.ValidateRequest — the check each chip's Node.Run
+// makes too, but here naming the input position — rejects duplicate
+// IDs, marks every request not-yet-completed, finds the earliest
+// arrival, and fixes the admission walk order: arrival order with ties
+// by input index, which for the generator's already-sorted streams is
+// the input order itself (order stays nil). IDs equal to input
+// positions, what workload.Generate emits, are unique by construction
+// and skip the duplicate map.
+func (f *frontEnd) scan() error {
+	reqs := f.reqs
+	identityIDs, arrivalsSorted := true, true
+	f.firstArrival = math.Inf(1)
 	prevArr := math.Inf(-1)
-	// Domains intern in first-sight order (the order SLAOutcome would
-	// tally them); the ID column feeds the flat SLA pass at the end.
-	// More than 255 distinct domains overflows the uint8 column and
-	// falls back to the record-walking SLA path.
-	// Domain intern table: a serving mix has a handful of domains, so a
-	// small preallocation absorbs the interning appends.
-	domNames := make([]string, 0, 8)
-	domOverflow := false
 	for i := range reqs {
 		r := &reqs[i]
+		if err := sim.ValidateRequest(i, r); err != nil {
+			return err
+		}
 		if r.ID != i {
 			identityIDs = false
 		}
@@ -540,625 +566,539 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 			arrivalsSorted = false
 		}
 		prevArr = r.Arrival
-		arrs[i] = r.Arrival
-		if r.Arrival < firstArrival {
-			firstArrival = r.Arrival
+		if r.Arrival < f.firstArrival {
+			f.firstArrival = r.Arrival
 		}
-		if r.Work > 0 {
-			works[i] = r.Work
-		} else {
-			works[i] = 1
-		}
-		dls[i] = r.Deadline
-		prios[i] = int32(r.Priority)
-		domID := -1
-		for j, d := range domNames {
-			if d == r.Domain {
-				domID = j
-				break
-			}
-		}
-		if domID < 0 {
-			if len(domNames) >= 256 {
-				domOverflow = true
-				domID = 0
-			} else {
-				domID = len(domNames)
-				domNames = append(domNames, r.Domain)
-			}
-		}
-		doms[i] = uint8(domID)
-		out.Finishes[i] = -1
+		f.out.Finishes[i] = -1
 	}
 	if !identityIDs {
 		seen := make(map[int]bool, len(reqs))
 		for i := range reqs {
 			if seen[reqs[i].ID] {
-				return nil, fmt.Errorf("cluster: duplicate request ID %d", reqs[i].ID)
+				return fmt.Errorf("cluster: duplicate request ID %d", reqs[i].ID)
 			}
 			seen[reqs[i].ID] = true
 		}
 	}
-
-	// Stage 1: admission, in arrival order (ties by input index). A
-	// pre-sorted stream — the generator's natural order — needs no index
-	// permutation: the stable sort would be the identity.
-	var order []int
 	if !arrivalsSorted {
-		order = make([]int, len(reqs))
-		for i := range order {
-			order[i] = i
+		f.order = make([]int, len(reqs))
+		for i := range f.order {
+			f.order[i] = i
 		}
-		//perf:alloc-ok unsorted-arrival fallback; sorted streams never enter
-		sort.SliceStable(order, func(a, b int) bool {
-			return reqs[order[a]].Arrival < reqs[order[b]].Arrival
+		sort.SliceStable(f.order, func(a, b int) bool {
+			return reqs[f.order[a]].Arrival < reqs[f.order[b]].Arrival
 		})
 	}
-	// Model IDs intern on first sight; the handful of models makes a
-	// linear scan with string equality's pointer fast path cheaper than
-	// hashing, exactly like the open-window list below. Each interned ID
-	// also caches the model's isolated-seconds estimate so the dispatch
-	// loop indexes a flat slice instead of hashing the model name.
-	var modelNames []string
-	var isoByID []float64
-	internModel := func(name string) int {
-		for i, m := range modelNames {
-			if m == name {
-				return i
-			}
+	return nil
+}
+
+// admit is stage 1: every request, in admission walk order, passes its
+// QoS level's token bucket or sheds. Admission delays reorder admits
+// only when buckets queue; the common no-queue run is already sorted
+// and skips the re-sort.
+func (f *frontEnd) admit() {
+	for k := range f.reqs {
+		idx := k
+		if f.order != nil {
+			idx = f.order[k]
 		}
-		modelNames = append(modelNames, name)
-		isoByID = append(isoByID, iso[name])
-		return len(modelNames) - 1
+		f.admitOne(idx)
 	}
-	admitOne := func(idx int) {
-		r := &reqs[idx]
-		if tracing {
-			record(sim.Event{Time: r.Arrival, Kind: sim.EvArrival, Task: r.ID, Model: r.Model})
-		}
-		cRequests.Inc()
-		if frontLed != nil {
-			frontLed.Open(idx, r.Arrival, obs.PhaseAdmitWait)
-		}
-		// With no admission control configured (admission == nil) the
-		// answer is always (arrival, true); hoisting the nil check here
-		// saves a non-inlined method call per request.
-		at, ok := r.Arrival, true
-		if admission != nil {
-			at, ok = admission.admit(r.Level, r.Arrival)
-		}
-		if !ok {
-			if tracing {
-				record(sim.Event{Time: r.Arrival, Kind: sim.EvShed, Task: r.ID, Model: r.Model})
-			}
-			cAdmShed.Inc()
-			out.ShedFront++
-			if frontLed != nil {
-				frontLed.Close(idx, r.Arrival, obs.CauseShedAdmission)
-			}
-			return
-		}
-		if frontLed != nil {
-			// Admission grant: [arrival, at] was admit-wait, [at, dispatch]
-			// is batch-wait (zero-length when batching is off).
-			frontLed.Mark(idx, at, obs.PhaseBatchWait)
-		}
-		admits = append(admits, admitted{at: at, idx: int32(idx), model: int32(internModel(r.Model))})
-	}
-	if arrivalsSorted {
-		for idx := range reqs {
-			admitOne(idx)
-		}
-	} else {
-		for _, idx := range order {
-			admitOne(idx)
-		}
-	}
-	// Admission delays can reorder admits only when buckets queue; the
-	// common no-queue run is already sorted and skips the re-sort too.
-	admitsSorted := true
-	for i := 1; i < len(admits); i++ {
-		if admits[i].at < admits[i-1].at {
-			admitsSorted = false
+	for i := 1; i < len(f.admits); i++ {
+		if f.admits[i].at < f.admits[i-1].at {
+			sort.SliceStable(f.admits, func(a, b int) bool { return f.admits[a].at < f.admits[b].at })
 			break
 		}
 	}
-	if !admitsSorted {
-		//perf:alloc-ok resort runs only when admission queueing reordered admits
-		sort.SliceStable(admits, func(a, b int) bool { return admits[a].at < admits[b].at })
-	}
+}
 
-	// Stage 2+3: batching windows and balanced dispatch, one
-	// chronological walk. Windows open in admit order, so the open-batch
-	// queue is already sorted by close time.
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = int(math.MaxInt32)
+// admitOne runs one request through admission.
+//
+//perf:hot per-request admission: bucket, ledger stamps and the admit record without allocating (DESIGN.md §13)
+func (f *frontEnd) admitOne(idx int) {
+	r := &f.reqs[idx]
+	if f.cfg.Trace != nil {
+		f.events = append(f.events, sim.Event{Time: r.Arrival, Kind: sim.EvArrival, Task: r.ID, Model: r.Model})
 	}
-	alpha := cfg.BatchAlpha
-	switch {
-	case alpha == 0:
-		alpha = DefaultBatchAlpha
-	case alpha < 0:
-		alpha = 0
+	f.cRequests.Inc()
+	if f.frontLed != nil {
+		f.frontLed.Open(idx, r.Arrival, obs.PhaseAdmitWait)
 	}
+	// With no admission control configured the answer is always
+	// (arrival, true); the nil check saves a non-inlined call per request.
+	at, ok := r.Arrival, true
+	if f.admission != nil {
+		at, ok = f.admission.admit(r.Level, r.Arrival)
+	}
+	if !ok {
+		if f.cfg.Trace != nil {
+			f.events = append(f.events, sim.Event{Time: r.Arrival, Kind: sim.EvShed, Task: r.ID, Model: r.Model})
+		}
+		f.cAdmShed.Inc()
+		f.out.ShedFront++
+		if f.frontLed != nil {
+			f.frontLed.Close(idx, r.Arrival, obs.CauseShedAdmission)
+		}
+		return
+	}
+	if f.frontLed != nil {
+		// Admission grant: [arrival, at] was admit-wait, [at, dispatch]
+		// is batch-wait (zero-length when batching is off).
+		f.frontLed.Mark(idx, at, obs.PhaseBatchWait)
+	}
+	f.admits = append(f.admits, admitted{at: at, idx: int32(idx), model: int32(f.internModel(r.Model))})
+}
 
-	// Dispatch groups accumulate as routing records in dispatches; the
-	// escaping per-chip request slices are carved out of one exactly-sized
-	// backing array after the dispatch loop — two phases instead of
-	// ragged per-chip append growth.
-	chipCounts := make([]int, cfg.Chips)
-	busyUntil := make([]float64, cfg.Chips)
-	membersTotal := 0
-	// One reusable balancer-view buffer: every field of every entry is
-	// rewritten per dispatch and no built-in balancer retains the slice.
-	views := make([]ChipView, cfg.Chips)
-	// least-work consults only health and the clamped backlog, both of
-	// which the dispatch loop already has in hand — picking directly
-	// skips materializing a ChipView per chip per dispatch. The pick is
-	// the same argmin with the same lowest-index tie-break.
-	_, lwFast := balancer.(leastWork)
+// internModel returns the model's interned ID. The handful of models
+// makes a linear scan with string equality's pointer fast path cheaper
+// than hashing.
+func (f *frontEnd) internModel(name string) int {
+	for i, m := range f.modelNames {
+		if m == name {
+			return i
+		}
+	}
+	f.modelNames = append(f.modelNames, name)
+	f.isoByID = append(f.isoByID, f.iso[name])
+	return len(f.modelNames) - 1
+}
 
-	dispatch := func(tD float64, members []int, model int) {
-		m0 := members[0]
-		leader := &reqs[m0]
-		k := len(members)
-		mw := works[m0]
-		// The merged request exists only as scalars here: phase two
-		// rebuilds the dispatched Request from the leader plus these
-		// values, so materializing a 96-byte Request per dispatch would
-		// be pure copy traffic. Only the pluggable-balancer path below
-		// still builds one (Pick takes a Request by value).
-		at, deadline, qos := leader.Arrival, leader.Deadline, leader.QoS
-		prio, work := leader.Priority, leader.Work
-		if k > 1 || tD != leader.Arrival {
-			at = tD
-			for _, m := range members[1:] {
-				if d := dls[m]; d < deadline {
-					deadline = d
-				}
-				if p := int(prios[m]); p > prio {
-					prio = p
-				}
+// walk is stages 2 and 3: batching windows and balanced dispatch in one
+// chronological pass over the admits. Windows open in admit order, so
+// the window FIFO is already sorted by close time. On autoscaled runs
+// the control instants interleave with the walk in simulated time order:
+// batch windows close up to the tick first, so the controller sees (and
+// drains reassign) exactly the state a real front door would have at
+// that instant.
+//
+//perf:hot cluster front-end steady state: batch and dispatch per admit without allocating (DESIGN.md §13)
+func (f *frontEnd) walk() {
+	for _, a := range f.admits {
+		if f.asc != nil {
+			for a.at >= f.asc.nextTick {
+				tk := f.asc.nextTick
+				f.asc.nextTick += f.asc.cfg.IntervalS
+				f.flush(tk)
+				f.controlTick(tk)
 			}
-			qos = deadline - tD
-			if k > 1 {
-				mw *= 1 + alpha*float64(k-1)
-				work = mw
-			}
+			f.asc.noteWait(a.at - f.reqs[a.idx].Arrival)
 		}
-		if batching {
-			if tracing {
-				recordB(sim.Event{Time: tD, Kind: sim.EvBatch, Task: leader.ID, Model: leader.Model, Alloc: k})
-			}
-			cBatches.Inc()
-			hBatch.Observe(float64(k))
-			if tracer != nil && k > 1 {
-				tracer.Span("cluster/batches", fmt.Sprintf("%s x%d", leader.Model, k),
-					reqs[members[0]].Arrival, tD,
-					obs.Str("model", leader.Model), obs.Num("size", float64(k)))
-			}
-		}
-		var chip int
-		if lwFast {
-			chip = -1
-			var bestOut float64
-			for i := range busyUntil {
-				if health[i].aliveAt(tD, totalSub) <= 0 {
-					continue
-				}
-				if asc != nil && !asc.routable(i, tD) {
-					continue
-				}
-				outst := busyUntil[i] - tD
-				if outst < 0 {
-					outst = 0
-				}
-				if chip < 0 || outst < bestOut {
-					chip, bestOut = i, outst
-				}
-			}
-		} else {
-			for i := range views {
-				outst := busyUntil[i] - tD
-				if outst < 0 {
-					outst = 0
-				}
-				healthy := health[i].aliveAt(tD, totalSub) > 0
-				if asc != nil && !asc.routable(i, tD) {
-					healthy = false
-				}
-				views[i] = ChipView{
-					Index:       i,
-					Healthy:     healthy,
-					Outstanding: outst,
-					Dispatched:  out.Dispatched[i],
-				}
-			}
-			merged := *leader
-			merged.Arrival, merged.Deadline, merged.QoS = at, deadline, qos
-			merged.Priority, merged.Work = prio, work
-			chip = balancer.Pick(merged, tD, views)
-		}
-		if chip < 0 {
-			for _, m := range members {
-				if tracing {
-					recordB(sim.Event{Time: tD, Kind: sim.EvShed, Task: reqs[m].ID, Model: reqs[m].Model})
-				}
-				cUnroutable.Inc()
-				out.ShedFront++
-				if frontLed != nil {
-					frontLed.Close(m, tD, obs.CauseShedUnroutable)
-				}
-			}
-			return
-		}
-		if tracing {
-			recordB(sim.Event{Time: tD, Kind: sim.EvDispatch, Task: leader.ID, Model: leader.Model, Unit: chip})
-		}
-		cDispatch[chip].Inc()
-		cost := isoByID[model] * mw
-		busyUntil[chip] = math.Max(busyUntil[chip], tD) + cost
-		if tracer != nil {
-			tracer.Counter("cluster/backlog", chipNames[chip], tD, busyUntil[chip]-tD)
-		}
-		out.Dispatched[chip]++
-		out.Batches++
-		membersTotal += k
-		if k > 1 {
-			out.BatchedReqs += k
-		}
-		if frontLed != nil {
-			// Hand-off: each member's front record closes at the merged
-			// arrival `at` (== the chip record's Open instant, bit-exact),
-			// and the links remember which chip record continues it.
-			for _, m := range members {
-				frontLed.Close(m, at, obs.CauseDispatched)
-				linkChip[m] = int32(chip)
-				linkPos[m] = int32(chipCounts[chip])
-			}
-		}
-		if asc != nil {
-			// Drain bookkeeping: the estimated completion instant and the
-			// slot's pending-group queue let a later drain split in-flight
-			// from queued work without replaying the dispatch walk.
-			//perf:alloc-ok autoscaled-run bookkeeping, amortized appends off the static path
-			ends = append(ends, busyUntil[chip])
-			//perf:alloc-ok autoscaled-run bookkeeping, amortized appends off the static path
-			asc.slots[chip].pend = append(asc.slots[chip].pend, int32(len(dispatches)))
-		}
-		dispatches = append(dispatches, dispatchRec{
-			chip: chip, pos: chipCounts[chip], cost: cost, members: members,
-			at: at, deadline: deadline, qos: qos,
-			prio: prio, work: work,
-		})
-		chipCounts[chip]++
-	}
-
-	// Every dispatch group's member list is carved out of one arena (each
-	// admit joins at most one group, so len(admits) bounds the total);
-	// batch windows copy their members in at close time so the window
-	// records themselves recycle through the scratch free list.
-	takeMembers := func(members []int) []int {
-		start := len(memberArena)
-		memberArena = append(memberArena, members...)
-		return memberArena[start:len(memberArena):len(memberArena)]
-	}
-	memberCap := maxBatch
-	if memberCap > 8 {
-		memberCap = 8
-	}
-	newBatch := func(model int, closeAt float64) *openBatch {
-		if n := len(batchPool); n > 0 {
-			b := batchPool[n-1]
-			batchPool = batchPool[:n-1]
-			b.model, b.closeAt, b.closed = model, closeAt, false
-			b.members = b.members[:0]
-			return b
-		}
-		//perf:alloc-ok batch-object miss path; steady state recycles via batchPool above
-		return &openBatch{model: model, closeAt: closeAt, members: make([]int, 0, memberCap)}
-	}
-	// The handful of concurrently open windows (one per model) lives in a
-	// small list: a linear scan beats per-admit string hashing, and there
-	// is no map to keep planaria-vet's iteration checker away from.
-	openList := make([]*openBatch, 0, 8)
-	findOpen := func(model int) *openBatch {
-		for _, b := range openList {
-			if b.model == model {
-				return b
-			}
-		}
-		return nil
-	}
-	removeOpen := func(b *openBatch) {
-		for i, x := range openList {
-			if x == b {
-				openList = append(openList[:i], openList[i+1:]...)
-				return
-			}
-		}
-	}
-	// The window FIFO advances by head index, not by re-slicing: a
-	// queue[1:] walk marches the append head off the backing array and
-	// allocates a fresh tiny slice per window (one per batch — the
-	// dominant allocation at scale). Draining rewinds to the front, and
-	// in-place compaction bounds the backing at the open-window
-	// high-water mark; both preserve FIFO order exactly.
-	qHead := 0
-	flush := func(until float64) {
-		for qHead < len(queue) {
-			b := queue[qHead]
-			if b.closed {
-				qHead++
-				batchPool = append(batchPool, b)
-				continue
-			}
-			if simtime.After(b.closeAt, until) {
-				if qHead > 64 && 2*qHead >= len(queue) {
-					n := copy(queue, queue[qHead:])
-					queue = queue[:n]
-					qHead = 0
-				}
-				return
-			}
-			qHead++
-			removeOpen(b)
-			dispatch(b.closeAt, takeMembers(b.members), b.model)
-			batchPool = append(batchPool, b)
-		}
-		queue, qHead = queue[:0], 0
-	}
-
-	// Autoscaler control plane: drainChip retires one slot gracefully —
-	// in-flight groups (estimated started before the drain instant) stay
-	// and finish; queued groups migrate to the least-loaded routable chip
-	// or shed as ShedDrain when none remains — and controlTick runs the
-	// controller at each control instant. Both live inside the same
-	// single-goroutine walk as dispatch, so a fault landing on a draining
-	// chip, a flash crowd mid-drain, or a drain racing permanent chip death
-	// all resolve in one deterministic time order.
-	var controlTick func(T float64)
-	if asc != nil {
-		drainChip := func(c int, T float64) {
-			s := &asc.slots[c]
-			s.state = slotDraining
-			asc.cDrains.Inc()
-			asc.fleet.Note(T, c, obs.FleetDrain)
-			if tracing {
-				recordB(sim.Event{Time: T, Kind: sim.EvDrain, Unit: c})
-			}
-			pend := s.pend
-			// Skip groups already estimated finished, then keep the
-			// in-flight prefix: groups whose estimated start precedes the
-			// drain instant run to completion on this chip, and the slot
-			// retires when the last of them is estimated done.
-			i := 0
-			for i < len(pend) && ends[pend[i]] <= T {
-				i++
-			}
-			retire := T
-			for i < len(pend) {
-				di := pend[i]
-				if ends[di]-dispatches[di].cost >= T {
-					break
-				}
-				retire = ends[di]
-				i++
-			}
-			// Everything behind the in-flight prefix is queued work the
-			// drained slot abandons: migrate each group, or shed it when no
-			// routable chip remains. The abandoned groups are the trailing
-			// positions of the slot's request slice, so decrementing the
-			// count keeps per-chip positions dense.
-			for _, di := range pend[i:] {
-				d := dispatches[di]
-				target := -1
-				var bestOut float64
-				for j := range busyUntil {
-					if j == c || health[j].aliveAt(T, totalSub) <= 0 || !asc.routable(j, T) {
-						continue
-					}
-					outst := busyUntil[j] - T
-					if outst < 0 {
-						outst = 0
-					}
-					if target < 0 || outst < bestOut {
-						target, bestOut = j, outst
-					}
-				}
-				out.Dispatched[c]--
-				chipCounts[c]--
-				if target < 0 {
-					dispatches[di].chip = -1 // tombstone: shed during drain
-					out.Batches--
-					membersTotal -= len(d.members)
-					out.ShedDrain += len(d.members)
-					for _, m := range d.members {
-						asc.cDrainShed.Inc()
-						if tracing {
-							recordB(sim.Event{Time: T, Kind: sim.EvShed, Task: reqs[m].ID, Model: reqs[m].Model})
-						}
-						if frontLed != nil {
-							frontLed.Reopen(m, obs.PhaseDrainMigrate)
-							frontLed.Close(m, T, obs.CauseShedDrain)
-							linkChip[m], linkPos[m] = -1, -1
-						}
-					}
-					continue
-				}
-				busyUntil[target] = math.Max(busyUntil[target], T) + d.cost
-				newPos := chipCounts[target]
-				chipCounts[target]++
-				out.Dispatched[target]++
-				out.Migrated += len(d.members)
-				asc.cMigrated.Inc()
-				if tracing {
-					leader := &reqs[d.members[0]]
-					recordB(sim.Event{Time: T, Kind: sim.EvMigrate, Task: leader.ID, Model: leader.Model, Unit: target, Depth: c})
-				}
-				if frontLed != nil {
-					for _, m := range d.members {
-						frontLed.Reopen(m, obs.PhaseDrainMigrate)
-						frontLed.Close(m, T, obs.CauseDispatched)
-						linkChip[m], linkPos[m] = int32(target), int32(newPos)
-					}
-				}
-				//perf:alloc-ok drain-time migration, off the static and steady-state paths
-				ends = append(ends, busyUntil[target])
-				//perf:alloc-ok drain-time migration, off the static and steady-state paths
-				asc.slots[target].pend = append(asc.slots[target].pend, int32(len(dispatches)))
-				nd := d
-				nd.chip, nd.pos, nd.at = target, newPos, T
-				nd.qos = nd.deadline - T
-				//perf:alloc-ok drain-time migration, off the static and steady-state paths
-				dispatches = append(dispatches, nd)
-				dispatches[di].chip = -2 // migrated away: the appended copy serves its members
-			}
-			s.pend = pend[:0]
-			s.retireAt = retire
-			busyUntil[c] = retire
-			asc.fleet.Note(retire, c, obs.FleetRetire)
-			asc.cDown.Inc()
-			if tracing {
-				//perf:alloc-ok future-dated retire event on a traced scaled run
-				frontC = append(frontC, sim.Event{Time: retire, Kind: sim.EvScaleDown, Unit: c})
-			}
-		}
-		controlTick = func(T float64) {
-			active, booting, draining := asc.counts(T)
-			backlog := 0.0
-			for i := range busyUntil {
-				if asc.slots[i].state != slotReady {
-					continue
-				}
-				if w := busyUntil[i] - T; w > 0 {
-					backlog += w
-				}
-			}
-			want := asc.cfg.Controller.Desired(ScaleSignal{
-				Time: T, Active: active, Booting: booting, Draining: draining,
-				BacklogS: backlog, MaxWaitS: asc.debtMax, Arrivals: asc.arrivals,
-			})
-			if want < asc.cfg.Min {
-				want = asc.cfg.Min
-			}
-			if want > asc.chips {
-				want = asc.chips
-			}
-			eff := active + booting
-			for eff < want {
-				c := asc.bootOne(T)
-				if c < 0 {
-					break
-				}
-				if tracing {
-					recordB(sim.Event{Time: T, Kind: sim.EvScaleUp, Unit: c})
-				}
-				eff++
-			}
-			// Scale-down drains ready slots only — boots in flight are never
-			// cancelled — and stops at the Min floor.
-			for eff > want && active > asc.cfg.Min {
-				c := asc.drainCandidate(T, busyUntil)
-				if c < 0 {
-					break
-				}
-				drainChip(c, T)
-				eff--
-				active--
-			}
-			asc.debtMax, asc.arrivals = 0, 0
-		}
-	}
-	for _, a := range admits {
-		if asc != nil {
-			// Control instants interleave with the admit walk in simulated
-			// time order: close out batch windows up to the tick first, so
-			// the controller sees (and drains reassign) exactly the state a
-			// real front door would have at that instant.
-			for a.at >= asc.nextTick {
-				tk := asc.nextTick
-				asc.nextTick += asc.cfg.IntervalS
-				flush(tk)
-				controlTick(tk)
-			}
-			asc.noteWait(a.at - arrs[a.idx])
-		}
-		if !batching {
+		if !f.batching {
 			// Single-request group: a one-element capped sub-slice of the
 			// arena, no per-request allocation.
-			memberArena = append(memberArena, int(a.idx))
-			dispatch(a.at, memberArena[len(memberArena)-1:len(memberArena):len(memberArena)], int(a.model))
+			f.memberArena = append(f.memberArena, int(a.idx))
+			n := len(f.memberArena)
+			f.dispatch(a.at, f.memberArena[n-1:n:n], int(a.model))
 			continue
 		}
 		model := int(a.model)
-		flush(a.at)
-		b := findOpen(model)
+		f.flush(a.at)
+		b := f.findOpen(model)
 		if b == nil {
-			b = newBatch(model, a.at+cfg.BatchWindow)
-			openList = append(openList, b)
-			queue = append(queue, b)
+			b = f.newBatch(model, a.at+f.cfg.BatchWindow)
+			f.openList = append(f.openList, b)
+			f.queue = append(f.queue, b)
 		}
 		b.members = append(b.members, int(a.idx))
-		if len(b.members) >= maxBatch {
+		if len(b.members) >= f.maxBatch {
 			b.closed = true
-			removeOpen(b)
-			dispatch(a.at, takeMembers(b.members), b.model)
+			f.removeOpen(b)
+			f.dispatch(a.at, f.takeMembers(b.members), b.model)
 		}
 	}
-	flush(math.Inf(1))
-
-	if out.Batches > 0 {
-		out.MeanBatchSize = float64(membersTotal) / float64(out.Batches)
+	f.flush(math.Inf(1))
+	if f.out.Batches > 0 {
+		f.out.MeanBatchSize = float64(f.membersTotal) / float64(f.out.Batches)
 	}
+}
 
-	// Phase two of dispatch: lay the routed groups out per chip. The
-	// backing array escapes into ChipResult.Requests, so it is a real
-	// allocation — but exactly one, exactly sized. Capacities are capped
-	// (three-index slices) so a caller appending to one chip's Requests
-	// reallocates instead of clobbering its neighbour. Each merged
-	// request is rebuilt in place from its leader plus the scalars the
-	// dispatchRec captured; dispatch order within a chip matches d.pos
-	// by construction.
-	perChip := make([][]workload.Request, cfg.Chips)
-	offs := make([]int, cfg.Chips)
+// fillViews snapshots every chip for a pick at instant t: health from
+// its fault timeline, routability from the autoscaler, and the clamped
+// estimated backlog. asc.routable promotes a finished boot on read for
+// every chip, healthy or not; that is harmless, because asc.counts(T)
+// promotes every due slot before any controller or drain reads slot
+// states, and pick instants never run backwards.
+func (f *frontEnd) fillViews(t float64) {
+	for i := range f.views {
+		outst := f.busyUntil[i] - t
+		if outst < 0 {
+			outst = 0
+		}
+		healthy := f.health[i].aliveAt(t, f.totalSub) > 0
+		if f.asc != nil && !f.asc.routable(i, t) {
+			healthy = false
+		}
+		f.views[i] = ChipView{Index: i, Healthy: healthy, Outstanding: outst}
+	}
+}
+
+// dispatch routes one group — a lone request or a closed batch — at
+// instant tD: it merges the members into one chip request (tightest
+// deadline, highest priority, fused work), picks a chip, and records
+// the routing for the layout stage, or sheds every member when no chip
+// is routable.
+//
+//perf:hot per-dispatch routing: merge, pick and record a group without allocating (DESIGN.md §13)
+func (f *frontEnd) dispatch(tD float64, members []int, model int) {
+	leader := &f.reqs[members[0]]
+	k := len(members)
+	mw := leader.Work // validated finite and >= 0; 0 means 1
+	if mw == 0 {
+		mw = 1
+	}
+	// The merged request exists only as scalars here: layout rebuilds the
+	// dispatched Request from the leader plus these values.
+	at, deadline, qos := leader.Arrival, leader.Deadline, leader.QoS
+	prio, work := leader.Priority, leader.Work
+	if k > 1 || tD != leader.Arrival {
+		at = tD
+		for _, m := range members[1:] {
+			r := &f.reqs[m]
+			if r.Deadline < deadline {
+				deadline = r.Deadline
+			}
+			if r.Priority > prio {
+				prio = r.Priority
+			}
+		}
+		qos = deadline - tD
+		if k > 1 {
+			mw *= 1 + f.alpha*float64(k-1)
+			work = mw
+		}
+	}
+	if f.batching {
+		if f.cfg.Trace != nil {
+			f.events = append(f.events, sim.Event{Time: tD, Kind: sim.EvBatch, Task: leader.ID, Model: leader.Model, Alloc: k})
+		}
+		f.cBatches.Inc()
+		f.hBatch.Observe(float64(k))
+		if f.tracer != nil && k > 1 {
+			f.tracer.Span("cluster/batches", fmt.Sprintf("%s x%d", leader.Model, k),
+				leader.Arrival, tD,
+				obs.Str("model", leader.Model), obs.Num("size", float64(k)))
+		}
+	}
+	f.fillViews(tD)
+	chip := f.balancer.Pick(leader.Model, tD, f.views)
+	if chip < 0 {
+		for _, m := range members {
+			if f.cfg.Trace != nil {
+				r := &f.reqs[m]
+				f.events = append(f.events, sim.Event{Time: tD, Kind: sim.EvShed, Task: r.ID, Model: r.Model})
+			}
+			f.cUnroutable.Inc()
+			f.out.ShedFront++
+			if f.frontLed != nil {
+				f.frontLed.Close(m, tD, obs.CauseShedUnroutable)
+			}
+		}
+		return
+	}
+	if f.cfg.Trace != nil {
+		f.events = append(f.events, sim.Event{Time: tD, Kind: sim.EvDispatch, Task: leader.ID, Model: leader.Model, Unit: chip})
+	}
+	f.cDispatch[chip].Inc()
+	cost := f.isoByID[model] * mw
+	f.busyUntil[chip] = math.Max(f.busyUntil[chip], tD) + cost
+	if f.tracer != nil {
+		f.tracer.Counter("cluster/backlog", f.chipNames[chip], tD, f.busyUntil[chip]-tD)
+	}
+	f.out.Dispatched[chip]++
+	f.out.Batches++
+	f.membersTotal += k
+	if k > 1 {
+		f.out.BatchedReqs += k
+	}
+	if f.frontLed != nil {
+		// Hand-off: each member's front record closes at the merged
+		// arrival `at` (== the chip record's Open instant, bit-exact),
+		// and the links remember which chip record continues it.
+		for _, m := range members {
+			f.frontLed.Close(m, at, obs.CauseDispatched)
+			f.linkChip[m] = int32(chip)
+			f.linkPos[m] = int32(f.chipCounts[chip])
+		}
+	}
+	if f.asc != nil {
+		// Drain bookkeeping (autoscaled runs only): the estimated
+		// completion instant and the slot's pending-group queue let a
+		// later drain split in-flight from queued work without replaying
+		// the dispatch walk.
+		f.ends = append(f.ends, f.busyUntil[chip])
+		f.asc.slots[chip].pend = append(f.asc.slots[chip].pend, int32(len(f.dispatches)))
+	}
+	f.dispatches = append(f.dispatches, dispatchRec{
+		chip: chip, pos: f.chipCounts[chip], cost: cost, members: members,
+		at: at, deadline: deadline, qos: qos,
+		prio: prio, work: work,
+	})
+	f.chipCounts[chip]++
+}
+
+// takeMembers copies a closed window's members into the member arena.
+// Every dispatch group's member list is carved out of that one arena
+// (each admit joins at most one group, so len(admits) bounds the total),
+// so the window records themselves recycle through the free list.
+func (f *frontEnd) takeMembers(members []int) []int {
+	start := len(f.memberArena)
+	f.memberArena = append(f.memberArena, members...)
+	return f.memberArena[start:len(f.memberArena):len(f.memberArena)]
+}
+
+// newBatch opens a window, recycling one from the free list when it can.
+func (f *frontEnd) newBatch(model int, closeAt float64) *openBatch {
+	if n := len(f.batchPool); n > 0 {
+		b := f.batchPool[n-1]
+		f.batchPool = f.batchPool[:n-1]
+		b.model, b.closeAt, b.closed = model, closeAt, false
+		b.members = b.members[:0]
+		return b
+	}
+	//perf:alloc-ok batch-object miss path; steady state recycles via batchPool above
+	return &openBatch{model: model, closeAt: closeAt, members: make([]int, 0, min(f.maxBatch, 8))}
+}
+
+// findOpen returns the model's open window, or nil. The handful of
+// concurrently open windows lives in a small list: a linear scan beats
+// per-admit string hashing, and there is no map to iterate.
+func (f *frontEnd) findOpen(model int) *openBatch {
+	for _, b := range f.openList {
+		if b.model == model {
+			return b
+		}
+	}
+	return nil
+}
+
+// removeOpen drops b from the open-window list.
+func (f *frontEnd) removeOpen(b *openBatch) {
+	for i, x := range f.openList {
+		if x == b {
+			f.openList = append(f.openList[:i], f.openList[i+1:]...)
+			return
+		}
+	}
+}
+
+// flush dispatches every window due to close by until, in close order.
+// The window FIFO advances by head index, not by re-slicing: a
+// queue[1:] walk marches the append head off the backing array and
+// allocates a fresh tiny slice per window. Draining rewinds to the
+// front, and in-place compaction bounds the backing at the open-window
+// high-water mark; both preserve FIFO order exactly.
+func (f *frontEnd) flush(until float64) {
+	for f.qHead < len(f.queue) {
+		b := f.queue[f.qHead]
+		if b.closed {
+			f.qHead++
+			f.batchPool = append(f.batchPool, b)
+			continue
+		}
+		if simtime.After(b.closeAt, until) {
+			if f.qHead > 64 && 2*f.qHead >= len(f.queue) {
+				n := copy(f.queue, f.queue[f.qHead:])
+				f.queue = f.queue[:n]
+				f.qHead = 0
+			}
+			return
+		}
+		f.qHead++
+		f.removeOpen(b)
+		f.dispatch(b.closeAt, f.takeMembers(b.members), b.model)
+		f.batchPool = append(f.batchPool, b)
+	}
+	f.queue, f.qHead = f.queue[:0], 0
+}
+
+// controlTick runs the scale controller at control instant T and moves
+// the fleet toward its answer: boots up to it, or drains ready slots
+// down to it. It runs inside the same single-goroutine walk as
+// dispatch, so a fault landing on a draining chip, a flash crowd
+// mid-drain, or a drain racing permanent chip death all resolve in one
+// deterministic time order.
+func (f *frontEnd) controlTick(T float64) {
+	asc := f.asc
+	active, booting, draining := asc.counts(T)
+	backlog := 0.0
+	for i, busy := range f.busyUntil {
+		if asc.slots[i].state != slotReady {
+			continue
+		}
+		if w := busy - T; w > 0 {
+			backlog += w
+		}
+	}
+	want := asc.cfg.Controller.Desired(ScaleSignal{
+		Time: T, Active: active, Booting: booting, Draining: draining,
+		BacklogS: backlog, MaxWaitS: asc.debtMax, Arrivals: asc.arrivals,
+	})
+	want = max(asc.cfg.Min, min(want, asc.chips))
+	eff := active + booting
+	for eff < want {
+		c := asc.bootOne(T)
+		if c < 0 {
+			break
+		}
+		if f.cfg.Trace != nil {
+			f.events = append(f.events, sim.Event{Time: T, Kind: sim.EvScaleUp, Unit: c})
+		}
+		eff++
+	}
+	// Scale-down drains ready slots only — boots in flight are never
+	// cancelled — and stops at the Min floor.
+	for eff > want && active > asc.cfg.Min {
+		c := asc.drainCandidate(T, f.busyUntil)
+		if c < 0 {
+			break
+		}
+		f.drainChip(c, T)
+		eff--
+		active--
+	}
+	asc.debtMax, asc.arrivals = 0, 0
+}
+
+// drainChip retires slot c gracefully at control instant T. In-flight
+// groups (estimated started before T) stay and finish; queued groups
+// migrate to the chip least-work would pick over the same views
+// dispatch uses — the draining slot is no longer routable, so the pick
+// never returns c — or shed as ShedDrain when no routable chip remains.
+func (f *frontEnd) drainChip(c int, T float64) {
+	asc := f.asc
+	s := &asc.slots[c]
+	s.state = slotDraining
+	asc.cDrains.Inc()
+	asc.fleet.Note(T, c, obs.FleetDrain)
+	if f.cfg.Trace != nil {
+		f.events = append(f.events, sim.Event{Time: T, Kind: sim.EvDrain, Unit: c})
+	}
+	pend := s.pend
+	// Skip groups already estimated finished, then keep the in-flight
+	// prefix: the slot retires when the last of them is estimated done.
+	i := 0
+	for i < len(pend) && f.ends[pend[i]] <= T {
+		i++
+	}
+	retire := T
+	for ; i < len(pend); i++ {
+		di := pend[i]
+		if f.ends[di]-f.dispatches[di].cost >= T {
+			break
+		}
+		retire = f.ends[di]
+	}
+	// Everything behind the in-flight prefix is queued work the slot
+	// abandons. The abandoned groups are the trailing positions of the
+	// slot's request slice, so decrementing the count keeps per-chip
+	// positions dense.
+	for _, di := range pend[i:] {
+		d := f.dispatches[di]
+		f.fillViews(T)
+		target := leastWork{}.Pick("", T, f.views)
+		f.out.Dispatched[c]--
+		f.chipCounts[c]--
+		if target < 0 {
+			f.dispatches[di].chip = -1 // tombstone: shed during drain
+			f.out.Batches--
+			f.membersTotal -= len(d.members)
+			f.out.ShedDrain += len(d.members)
+			for _, m := range d.members {
+				asc.cDrainShed.Inc()
+				if f.cfg.Trace != nil {
+					r := &f.reqs[m]
+					f.events = append(f.events, sim.Event{Time: T, Kind: sim.EvShed, Task: r.ID, Model: r.Model})
+				}
+				if f.frontLed != nil {
+					f.frontLed.Reopen(m, obs.PhaseDrainMigrate)
+					f.frontLed.Close(m, T, obs.CauseShedDrain)
+					f.linkChip[m], f.linkPos[m] = -1, -1
+				}
+			}
+			continue
+		}
+		f.busyUntil[target] = math.Max(f.busyUntil[target], T) + d.cost
+		newPos := f.chipCounts[target]
+		f.chipCounts[target]++
+		f.out.Dispatched[target]++
+		f.out.Migrated += len(d.members)
+		asc.cMigrated.Inc()
+		if f.cfg.Trace != nil {
+			leader := &f.reqs[d.members[0]]
+			f.events = append(f.events, sim.Event{Time: T, Kind: sim.EvMigrate,
+				Task: leader.ID, Model: leader.Model, Unit: target, Depth: c})
+		}
+		if f.frontLed != nil {
+			for _, m := range d.members {
+				f.frontLed.Reopen(m, obs.PhaseDrainMigrate)
+				f.frontLed.Close(m, T, obs.CauseDispatched)
+				f.linkChip[m], f.linkPos[m] = int32(target), int32(newPos)
+			}
+		}
+		f.ends = append(f.ends, f.busyUntil[target])
+		asc.slots[target].pend = append(asc.slots[target].pend, int32(len(f.dispatches)))
+		nd := d
+		nd.chip, nd.pos, nd.at = target, newPos, T
+		nd.qos = nd.deadline - T
+		f.dispatches = append(f.dispatches, nd)
+		f.dispatches[di].chip = -2 // migrated away: the appended copy serves its members
+	}
+	s.pend = pend[:0]
+	s.retireAt = retire
+	f.busyUntil[c] = retire
+	asc.fleet.Note(retire, c, obs.FleetRetire)
+	asc.cDown.Inc()
+	if f.cfg.Trace != nil {
+		f.retires = append(f.retires, sim.Event{Time: retire, Kind: sim.EvScaleDown, Unit: c})
+	}
+}
+
+// layout is the second half of dispatch: it lays the routed groups out
+// per chip. The backing array escapes into ChipResult.Requests, so it
+// is a real allocation — but exactly one, exactly sized. Capacities are
+// capped (three-index slices) so a caller appending to one chip's
+// Requests reallocates instead of clobbering its neighbour. Each merged
+// request is rebuilt in place from its leader plus the scalars the
+// dispatchRec captured. On autoscaled runs drain tombstones and
+// migrated-away originals occupy no slot.
+func (f *frontEnd) layout() [][]workload.Request {
+	perChip := make([][]workload.Request, f.cfg.Chips)
+	offs := make([]int, f.cfg.Chips)
 	off := 0
-	for i, n := range chipCounts {
+	for i, n := range f.chipCounts {
 		offs[i] = off
 		off += n
 	}
-	// On autoscaled runs the final layout can be smaller than the record
-	// count: drain tombstones (shed groups) and migrated-away originals
-	// occupy no slot.
 	backing := make([]workload.Request, off)
-	for i, n := range chipCounts {
+	for i, n := range f.chipCounts {
 		perChip[i] = backing[offs[i] : offs[i]+n : offs[i]+n]
 	}
-	for i := range dispatches {
-		d := &dispatches[i]
+	for i := range f.dispatches {
+		d := &f.dispatches[i]
 		if d.chip < 0 {
 			continue
 		}
 		m := &backing[offs[d.chip]+d.pos]
-		*m = reqs[d.members[0]]
+		*m = f.reqs[d.members[0]]
 		m.Arrival, m.Deadline, m.QoS = d.at, d.deadline, d.qos
 		m.Priority, m.Work = d.prio, d.work
 	}
+	return perChip
+}
 
-	// Stage 4: run the chips — one shard (goroutine) per chip, since each
-	// chip is one long independent simulation and the chip count is small.
-	// Writes stay confined to index i; the merge below walks dispatch
-	// records in virtual-time order, so the aggregate is deterministic no
-	// matter how the shards interleave.
+// runChips is stage 4: one shard (goroutine) per chip, since each chip
+// is one long independent simulation and the chip count is small.
+// Writes stay confined to index i; merge walks dispatch records in
+// virtual-time order, so the aggregate is deterministic no matter how
+// the shards interleave.
+func (f *frontEnd) runChips(perChip [][]workload.Request) error {
+	cfg := &f.cfg
 	results := make([]*ChipResult, cfg.Chips)
 	errs := make([]error, cfg.Chips)
 	par.PerItem(cfg.Chips, func(i int) {
-		//perf:alloc-ok one result object per chip per run
 		cr := &ChipResult{Requests: perChip[i]}
 		results[i] = cr
 		if cfg.ChipTraces {
-			//perf:alloc-ok per-chip trace sink, built only when chip traces are requested
 			cr.Trace = &sim.Trace{}
 		}
 		if cfg.Observe {
@@ -1166,7 +1106,7 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		}
 		if cfg.Attrib {
 			cr.Attrib = obs.NewLedger(len(perChip[i]))
-			cr.Occ = obs.NewOccupancy(int64(totalSub))
+			cr.Occ = obs.NewOccupancy(int64(f.totalSub))
 		}
 		if len(perChip[i]) == 0 {
 			return
@@ -1178,7 +1118,6 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		if oa, ok := pol.(obs.OccupancyAware); ok && cr.Occ != nil {
 			oa.SetOccupancy(cr.Occ)
 		}
-		//perf:alloc-ok one simulated node per chip per run
 		node := &sim.Node{
 			Cfg:       cfg.System.Cfg,
 			Policy:    pol,
@@ -1200,45 +1139,47 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		cr.Outcome, errs[i] = node.Run(perChip[i])
 	})
 	if err := par.FirstError(errs); err != nil {
-		return nil, err
+		return err
 	}
-	out.PerChip = results
-	if frontLed != nil {
-		//perf:alloc-ok one attribution bundle per run, only when Attrib is on
-		out.Attrib = &Attribution{Front: frontLed, Chip: linkChip, Pos: linkPos}
+	f.out.PerChip = results
+	if f.frontLed != nil {
+		f.out.Attrib = &Attribution{Front: f.frontLed, Chip: f.linkChip, Pos: f.linkPos}
 	}
+	return nil
+}
 
-	// Stage 5: merge chip outcomes back onto the original stream. The
-	// latency histogram handles are interned per model up front —
-	// registry lookups and bucket-bound slices are off the per-request
-	// path.
+// merge is stage 5: chip outcomes fan back out onto the original
+// stream. The latency histogram handles are interned per model as they
+// are first needed, in merge order.
+func (f *frontEnd) merge() {
+	out, reqs := f.out, f.reqs
 	var latHists map[string]*obs.Histogram
 	var durBounds []float64
-	if reg != nil {
-		latHists = make(map[string]*obs.Histogram, len(cfg.System.Programs))
+	if f.reg != nil {
+		latHists = make(map[string]*obs.Histogram, len(f.cfg.System.Programs))
 		durBounds = obs.DurationBuckets()
 	}
-	for _, d := range dispatches {
+	for i := range f.dispatches {
+		d := &f.dispatches[i]
 		if d.chip < 0 {
 			continue // drain tombstone or migrated-away original
 		}
-		chipOut := results[d.chip].Outcome
-		fin := chipOut.Finishes[d.pos]
+		fin := out.PerChip[d.chip].Outcome.Finishes[d.pos]
 		for _, m := range d.members {
+			r := &reqs[m]
 			if fin >= 0 {
 				out.Finishes[m] = fin
-				out.Latency[m] = fin - arrs[m]
+				out.Latency[m] = fin - r.Arrival
 				out.Completed++
-				if reg != nil {
-					h := latHists[reqs[m].Model]
+				if f.reg != nil {
+					h := latHists[r.Model]
 					if h == nil {
-						h = reg.Histogram("cluster_latency_seconds", durBounds,
-							obs.L("model", reqs[m].Model))
-						latHists[reqs[m].Model] = h
+						h = f.reg.Histogram("cluster_latency_seconds", durBounds, obs.L("model", r.Model))
+						latHists[r.Model] = h
 					}
 					h.Observe(out.Latency[m])
 				}
-			} else if _, ok := cfg.System.Programs[reqs[m].Model]; !ok {
+			} else if _, ok := f.cfg.System.Programs[r.Model]; !ok {
 				out.Rejected++
 			} else {
 				out.ShedChips++
@@ -1246,15 +1187,15 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		}
 	}
 	lastFinish := math.Inf(-1)
-	for i := range out.Finishes {
-		if out.Finishes[i] > lastFinish {
-			lastFinish = out.Finishes[i]
+	for _, fin := range out.Finishes {
+		if fin > lastFinish {
+			lastFinish = fin
 		}
 	}
-	if lastFinish > firstArrival {
-		out.Makespan = lastFinish - firstArrival
+	if lastFinish > f.firstArrival {
+		out.Makespan = lastFinish - f.firstArrival
 	}
-	for _, cr := range results {
+	for _, cr := range out.PerChip {
 		if cr.Outcome == nil {
 			continue
 		}
@@ -1263,75 +1204,24 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		out.Retries += cr.Outcome.Retries
 		out.FaultEvents += cr.Outcome.FaultEvents
 	}
-	if domOverflow {
-		out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcome(reqs, out.Finishes)
-	} else {
-		out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcomeFlat(doms, domNames, dls, out.Finishes)
-	}
-
-	if cfg.Trace != nil {
-		if len(frontC) > 0 {
-			// Retire events were recorded at drain-decision time with
-			// future instants; order them and fold into the dispatch run so
-			// exportFront sees two monotone runs again.
-			sort.SliceStable(frontC, func(i, j int) bool { return frontC[i].Time < frontC[j].Time })
-			merged := make([]sim.Event, 0, len(frontB)+len(frontC))
-			i, j := 0, 0
-			for i < len(frontB) && j < len(frontC) {
-				if frontB[i].Time <= frontC[j].Time {
-					merged = append(merged, frontB[i])
-					i++
-				} else {
-					merged = append(merged, frontC[j])
-					j++
-				}
-			}
-			merged = append(merged, frontB[i:]...)
-			merged = append(merged, frontC[j:]...)
-			frontB = merged
-		}
-		exportFront(cfg.Trace, frontA, frontB)
-	}
-	return out, nil
+	out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcome(reqs, out.Finishes)
 }
 
-// exportFront appends the two front-door event runs to the trace in
-// stable time order. Both runs are built in non-decreasing time order
-// (stage 1 walks arrivals in order; dispatch instants never move
-// backwards), so a two-pointer merge that prefers run A on ties
-// reproduces exactly what sort.SliceStable over the concatenation —
-// the pre-sharded encoding — produced. Should either ordering
-// invariant ever break, the stable sort runs as the fallback.
-func exportFront(tr *sim.Trace, a, b []sim.Event) {
-	if !eventsOrdered(a) || !eventsOrdered(b) {
-		all := make([]sim.Event, 0, len(a)+len(b))
-		all = append(all, a...)
-		all = append(all, b...)
-		sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
-		tr.Events = append(tr.Events, all...)
+// export appends the front-door timeline to Config.Trace in stable time
+// order. Stage 1 records before dispatch starts, so the event buffer
+// holds arrivals and admission sheds ahead of the dispatch-time events,
+// and the future-dated retires follow both: on a time tie an arrival
+// precedes a dispatch-time event, which precedes a retire — even a
+// retire recorded before a same-instant drain.
+func (f *frontEnd) export() {
+	tr := f.cfg.Trace
+	if tr == nil {
 		return
 	}
-	tr.Reserve(len(a) + len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Time <= b[j].Time {
-			tr.Events = append(tr.Events, a[i])
-			i++
-		} else {
-			tr.Events = append(tr.Events, b[j])
-			j++
-		}
-	}
-	tr.Events = append(tr.Events, a[i:]...)
-	tr.Events = append(tr.Events, b[j:]...)
-}
-
-// eventsOrdered reports whether the run's times never decrease.
-func eventsOrdered(evs []sim.Event) bool {
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time < evs[i-1].Time {
-			return false
-		}
-	}
-	return true
+	n := len(tr.Events)
+	tr.Reserve(len(f.events) + len(f.retires))
+	tr.Events = append(tr.Events, f.events...)
+	tr.Events = append(tr.Events, f.retires...)
+	tail := tr.Events[n:]
+	sort.SliceStable(tail, func(i, j int) bool { return tail[i].Time < tail[j].Time })
 }

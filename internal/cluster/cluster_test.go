@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"planaria/internal/arch"
@@ -500,6 +503,52 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		if _, err := Run(tc.cfg, tc.rs); err == nil {
 			t.Errorf("%s: Run accepted a bad config", tc.name)
 		}
+	}
+}
+
+// TestRunRejectsMalformedRequests feeds one malformed request into an
+// otherwise valid stream: Run must fail at entry with the named error,
+// with batching off and on (batching used to coerce bad work to 1 and
+// serve it), and the message must name the request's input position,
+// not a chip-local one.
+func TestRunRejectsMalformedRequests(t *testing.T) {
+	sys := spatialSystem(t)
+	const bad = 5
+	cases := []struct {
+		name string
+		mut  func(r *workload.Request)
+		want error
+	}{
+		{"NaN arrival", func(r *workload.Request) { r.Arrival = math.NaN() }, sim.ErrBadArrival},
+		{"+Inf arrival", func(r *workload.Request) { r.Arrival = math.Inf(1) }, sim.ErrBadArrival},
+		{"negative work", func(r *workload.Request) { r.Work = -2 }, sim.ErrBadWork},
+		{"NaN work", func(r *workload.Request) { r.Work = math.NaN() }, sim.ErrBadWork},
+		{"+Inf work", func(r *workload.Request) { r.Work = math.Inf(1) }, sim.ErrBadWork},
+	}
+	for _, tc := range cases {
+		for _, window := range []float64{0, 1e-3} {
+			reqs := genReqs(40, 2000, 1, 3)
+			// Non-identity IDs: the message must carry the position, not
+			// the ID, so the two must differ.
+			for i := range reqs {
+				reqs[i].ID = 100 + i
+			}
+			tc.mut(&reqs[bad])
+			_, err := Run(Config{System: sys, Chips: 2, BatchWindow: window}, reqs)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s, window %g: err = %v, want %v", tc.name, window, err, tc.want)
+				continue
+			}
+			if pos := fmt.Sprintf("request %d (ID %d)", bad, reqs[bad].ID); !strings.Contains(err.Error(), pos) {
+				t.Errorf("%s, window %g: %q does not name %q", tc.name, window, err, pos)
+			}
+		}
+	}
+	// Zero work is valid and means unscaled.
+	reqs := genReqs(40, 2000, 1, 3)
+	reqs[bad].Work = 0
+	if _, err := Run(Config{System: sys, Chips: 2, BatchWindow: 1e-3}, reqs); err != nil {
+		t.Fatalf("zero work rejected: %v", err)
 	}
 }
 

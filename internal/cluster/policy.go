@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
-
-	"planaria/internal/workload"
 )
 
 // ChipView is the balancer's per-chip snapshot at a dispatch instant.
@@ -18,17 +16,16 @@ type ChipView struct {
 	// Outstanding is the chip's estimated backlog in seconds of isolated
 	// execution time for everything already dispatched to it.
 	Outstanding float64
-	// Dispatched counts requests (batch leaders) sent to the chip so far.
-	Dispatched int
 }
 
-// Balancer chooses a chip for each dispatch. Implementations must be
-// deterministic: identical call sequences yield identical picks. Pick
-// returns the chosen chip index, or -1 when no healthy chip exists (the
-// front end sheds the request).
+// Balancer chooses a chip for each dispatch group of the named model.
+// Implementations must be deterministic: identical call sequences yield
+// identical picks. Pick returns the chosen chip index, or -1 when no
+// healthy chip exists (the front end sheds the group). The set is
+// closed — Config.Policy names one of the built-ins (see NewBalancer).
 type Balancer interface {
 	Name() string
-	Pick(r workload.Request, now float64, view []ChipView) int
+	Pick(model string, now float64, view []ChipView) int
 }
 
 // Policies lists the built-in balancing policy names in canonical order.
@@ -39,6 +36,7 @@ func Policies() []string {
 // NewBalancer constructs a fresh balancer by name. Accepted names (and
 // aliases): "round-robin" ("rr"), "least-work" ("lw", "jsq"),
 // "affinity" ("hash").
+//
 //perf:cold once-per-run constructor; the per-request path is Pick
 func NewBalancer(name string) (Balancer, error) {
 	switch name {
@@ -62,7 +60,7 @@ type roundRobin struct {
 
 func (*roundRobin) Name() string { return "round-robin" }
 
-func (b *roundRobin) Pick(_ workload.Request, _ float64, view []ChipView) int {
+func (b *roundRobin) Pick(_ string, _ float64, view []ChipView) int {
 	n := len(view)
 	for probe := 0; probe < n; probe++ {
 		i := (b.next + probe) % n
@@ -81,7 +79,7 @@ type leastWork struct{}
 
 func (leastWork) Name() string { return "least-work" }
 
-func (leastWork) Pick(_ workload.Request, _ float64, view []ChipView) int {
+func (leastWork) Pick(_ string, _ float64, view []ChipView) int {
 	best := -1
 	for _, v := range view {
 		if !v.Healthy {
@@ -114,7 +112,7 @@ func affinityScore(model string, chip int) uint64 {
 	return h.Sum64()
 }
 
-func (affinity) Pick(r workload.Request, _ float64, view []ChipView) int {
+func (affinity) Pick(model string, _ float64, view []ChipView) int {
 	best := -1
 	var bestScore uint64
 	for _, v := range view {
@@ -123,7 +121,7 @@ func (affinity) Pick(r workload.Request, _ float64, view []ChipView) int {
 		}
 		// Strict > keeps the lowest index on a (vanishingly unlikely)
 		// score tie: views iterate in index order.
-		s := affinityScore(r.Model, v.Index)
+		s := affinityScore(model, v.Index)
 		if best < 0 || s > bestScore {
 			best, bestScore = v.Index, s
 		}

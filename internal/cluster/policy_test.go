@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-
-	"planaria/internal/workload"
 )
 
 func views(n int, unhealthy ...int) []ChipView {
@@ -16,10 +14,6 @@ func views(n int, unhealthy ...int) []ChipView {
 		v[u].Healthy = false
 	}
 	return v
-}
-
-func modelReq(model string) workload.Request {
-	return workload.Request{ID: 1, Model: model, Priority: 5}
 }
 
 func TestNewBalancerNamesAndAliases(t *testing.T) {
@@ -46,10 +40,9 @@ func TestNewBalancerNamesAndAliases(t *testing.T) {
 
 func TestRoundRobinCyclesAndSkipsUnhealthy(t *testing.T) {
 	b, _ := NewBalancer("round-robin")
-	r := modelReq("m")
 	var picks []int
 	for i := 0; i < 6; i++ {
-		picks = append(picks, b.Pick(r, 0, views(3)))
+		picks = append(picks, b.Pick("m", 0, views(3)))
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	if fmt.Sprint(picks) != fmt.Sprint(want) {
@@ -58,38 +51,37 @@ func TestRoundRobinCyclesAndSkipsUnhealthy(t *testing.T) {
 	b, _ = NewBalancer("round-robin")
 	picks = picks[:0]
 	for i := 0; i < 4; i++ {
-		picks = append(picks, b.Pick(r, 0, views(3, 1)))
+		picks = append(picks, b.Pick("m", 0, views(3, 1)))
 	}
 	want = []int{0, 2, 0, 2}
 	if fmt.Sprint(picks) != fmt.Sprint(want) {
 		t.Errorf("cycle with chip 1 dead = %v, want %v", picks, want)
 	}
-	if got := b.Pick(r, 0, views(3, 0, 1, 2)); got != -1 {
+	if got := b.Pick("m", 0, views(3, 0, 1, 2)); got != -1 {
 		t.Errorf("all-dead pick = %d, want -1", got)
 	}
 }
 
 func TestLeastWorkPicksMinAndBreaksTiesByIndex(t *testing.T) {
 	b, _ := NewBalancer("least-work")
-	r := modelReq("m")
 	v := views(4)
 	v[0].Outstanding = 3
 	v[1].Outstanding = 1
 	v[2].Outstanding = 1 // ties with 1: lower index wins
 	v[3].Outstanding = 2
-	if got := b.Pick(r, 0, v); got != 1 {
+	if got := b.Pick("m", 0, v); got != 1 {
 		t.Errorf("pick = %d, want 1 (least outstanding, lowest index on tie)", got)
 	}
 	// All-equal backlog: the tie breaks to chip 0.
-	if got := b.Pick(r, 0, views(4)); got != 0 {
+	if got := b.Pick("m", 0, views(4)); got != 0 {
 		t.Errorf("all-equal pick = %d, want 0", got)
 	}
 	// The minimum being unhealthy must not attract work.
 	v[1].Healthy = false
-	if got := b.Pick(r, 0, v); got != 2 {
+	if got := b.Pick("m", 0, v); got != 2 {
 		t.Errorf("pick with min dead = %d, want 2", got)
 	}
-	if got := b.Pick(r, 0, views(2, 0, 1)); got != -1 {
+	if got := b.Pick("m", 0, views(2, 0, 1)); got != -1 {
 		t.Errorf("all-dead pick = %d, want -1", got)
 	}
 }
@@ -99,12 +91,12 @@ func TestAffinityStableAcrossRunsAndInstances(t *testing.T) {
 	b2, _ := NewBalancer("affinity")
 	for i := 0; i < 40; i++ {
 		model := fmt.Sprintf("model-%d", i)
-		first := b1.Pick(modelReq(model), 0, views(5))
+		first := b1.Pick(model, 0, views(5))
 		for rep := 0; rep < 3; rep++ {
-			if got := b1.Pick(modelReq(model), float64(rep), views(5)); got != first {
+			if got := b1.Pick(model, float64(rep), views(5)); got != first {
 				t.Fatalf("%s: pick changed from %d to %d on repeat", model, first, got)
 			}
-			if got := b2.Pick(modelReq(model), 0, views(5)); got != first {
+			if got := b2.Pick(model, 0, views(5)); got != first {
 				t.Fatalf("%s: fresh balancer picked %d, want %d", model, got, first)
 			}
 		}
@@ -115,7 +107,7 @@ func TestAffinitySpreadsModels(t *testing.T) {
 	b, _ := NewBalancer("affinity")
 	hit := map[int]int{}
 	for i := 0; i < 64; i++ {
-		hit[b.Pick(modelReq(fmt.Sprintf("model-%d", i)), 0, views(4))]++
+		hit[b.Pick(fmt.Sprintf("model-%d", i), 0, views(4))]++
 	}
 	for chip := 0; chip < 4; chip++ {
 		if hit[chip] == 0 {
@@ -132,11 +124,11 @@ func TestAffinityRedistributesOnlyDeadChipsShare(t *testing.T) {
 	const dead = 2
 	before := make([]int, models)
 	for i := range before {
-		before[i] = b.Pick(modelReq(fmt.Sprintf("model-%d", i)), 0, views(chips))
+		before[i] = b.Pick(fmt.Sprintf("model-%d", i), 0, views(chips))
 	}
 	moved := 0
 	for i := range before {
-		after := b.Pick(modelReq(fmt.Sprintf("model-%d", i)), 0, views(chips, dead))
+		after := b.Pick(fmt.Sprintf("model-%d", i), 0, views(chips, dead))
 		if before[i] != dead {
 			if after != before[i] {
 				t.Errorf("model-%d moved %d -> %d though chip %d died", i, before[i], after, dead)

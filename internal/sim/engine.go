@@ -29,8 +29,9 @@ const TimeEps = simtime.Eps
 // (Task.checkpointCycles).
 const configLoadCycles = 500
 
-// Malformed-input errors returned by Node.Run before any simulation
-// starts; they wrap a message naming the offending request.
+// Malformed-input errors returned by ValidateRequest — and so by
+// Node.Run and cluster.Run before any simulation starts; they wrap a
+// message naming the offending request's input position.
 var (
 	// ErrBadArrival: a request's arrival instant is NaN or infinite.
 	ErrBadArrival = errors.New("sim: request arrival is not a finite time")
@@ -43,6 +44,30 @@ var (
 // recording sink attached (Trace, Obs, Attrib or Occ): a verdict run
 // stops early, so it would leave a truncated artifact behind.
 var ErrVerdictSink = errors.New("sim: MeetsSLA needs a node without Trace, Obs, Attrib or Occ")
+
+// ValidateRequest checks one request's simulated-time inputs at an
+// entry boundary: a finite arrival instant (ErrBadArrival) and a finite,
+// non-negative work multiplier (ErrBadWork; zero means unscaled). pos is
+// the request's position in the caller's input, which the error names.
+func ValidateRequest(pos int, r *workload.Request) error {
+	if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) ||
+		r.Work < 0 || math.IsNaN(r.Work) || math.IsInf(r.Work, 0) {
+		return badRequest(pos, r)
+	}
+	return nil
+}
+
+// badRequest names what ValidateRequest rejected. Formatting out of line
+// keeps ValidateRequest's frame small on the per-request entry passes of
+// Node.Run and cluster.Run.
+//
+//go:noinline
+func badRequest(pos int, r *workload.Request) error {
+	if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
+		return fmt.Errorf("%w: request %d (ID %d) arrives at %v", ErrBadArrival, pos, r.ID, r.Arrival)
+	}
+	return fmt.Errorf("%w: request %d (ID %d) has work %v", ErrBadWork, pos, r.ID, r.Work)
+}
 
 // Outcome aggregates one simulated workload instance.
 type Outcome struct {
@@ -85,8 +110,7 @@ type Outcome struct {
 	// Shed counts admission-control declines plus retry-budget
 	// exhaustions.
 	Shed int
-	// Rejected counts requests for models the node has no program for
-	// (non-strict mode only).
+	// Rejected counts requests for models the node has no program for.
 	Rejected int
 	// FaultEvents counts fault transitions (landings and repairs)
 	// applied during the run.
@@ -137,9 +161,6 @@ type Node struct {
 	FaultMode FaultMode
 	// Shed selects the admission-control policy (default ShedNone).
 	Shed ShedPolicy
-	// Strict restores the original all-or-nothing behavior for unknown
-	// models: Run fails instead of rejecting the single request.
-	Strict bool
 	// RetryBase and RetryCap bound the kill-retry backoff in simulated
 	// seconds (zero values mean 200 µs and 5 ms). MaxAttempts caps how
 	// often one request may be killed before it is shed; 0 = unlimited.
@@ -215,11 +236,11 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 // Run's. Requests still in flight are never counted early.
 //
 // Caveat: an error the full run would hit after that point (a policy
-// stall, the livelock guard, a strict-mode unknown model arriving
-// later) is not reached, so MeetsSLA returns false, nil where Run
-// returns the error. Errors up to the verdict are Run's own. A node with
-// a recording sink attached fails with ErrVerdictSink instead of
-// leaving a truncated trace, metrics view or ledger.
+// stall or the livelock guard) is not reached, so MeetsSLA returns
+// false, nil where Run returns the error. Errors up to the verdict are
+// Run's own. A node with a recording sink attached fails with
+// ErrVerdictSink instead of leaving a truncated trace, metrics view or
+// ledger.
 func (n *Node) MeetsSLA(reqs []workload.Request) (bool, error) {
 	if n.Trace != nil || n.Obs != nil || n.Attrib != nil || n.Occ != nil {
 		return false, ErrVerdictSink
@@ -269,11 +290,8 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 	domains := domainBuf[:0]
 	for i := range reqs {
 		r := &reqs[i]
-		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
-			return nil, fmt.Errorf("%w: request %d (ID %d) arrives at %v", ErrBadArrival, i, r.ID, r.Arrival)
-		}
-		if r.Work < 0 || math.IsNaN(r.Work) || math.IsInf(r.Work, 0) {
-			return nil, fmt.Errorf("%w: request %d (ID %d) has work %v", ErrBadWork, i, r.ID, r.Work)
+		if err := ValidateRequest(i, r); err != nil {
+			return nil, err
 		}
 		if r.ID != i {
 			identityIDs = false
@@ -432,7 +450,7 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 	nextPending := 0
 	const maxIter = 10_000_000
 
-	admit := func() error {
+	admit := func() {
 		for nextPending < len(pending) && simtime.Due(pending[nextPending].Arrival, now) {
 			r := &pending[nextPending]
 			srcPos := nextPending
@@ -452,9 +470,6 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 			}
 			bind, ok := binds[r.Model]
 			if !ok {
-				if n.Strict {
-					return fmt.Errorf("sim: no program for model %q", r.Model)
-				}
 				if tracing {
 					n.Trace.record(Event{Time: r.Arrival, Kind: EvArrival, Task: r.ID, Model: r.Model})
 				}
@@ -540,7 +555,6 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 			}
 			tasks = append(tasks, e.t)
 		}
-		return nil
 	}
 
 	kill := func(t *Task) {
@@ -641,9 +655,7 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 		}
 	}
 
-	if err := admit(); err != nil {
-		return nil, err
-	}
+	admit()
 
 	// Zero-allocation scheduling fast path: policies implementing
 	// SliceAllocator write into a reusable positional buffer instead of
@@ -652,17 +664,16 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 
 	// Elastic re-fission (DESIGN.md §16): an active Refissioner policy
 	// gets scheduling wakeups at tile boundaries it asks for, so it can
-	// re-split the chip between the ordinary events. Everything below is
-	// behind the one-time `elastic` flag — an inactive or non-Refissioner
-	// policy runs the historical event loop bit-identically, and the
-	// refission counters are not even registered.
+	// re-split the chip between the ordinary events. Without one, refis
+	// stays nil and refAt +Inf, so no iteration is a re-fission instant,
+	// and the refission counters are not even registered (metrics
+	// snapshots of non-elastic runs are unchanged).
 	var refis Refissioner
-	elastic := false
 	if r, ok := n.Policy.(Refissioner); ok && r.RefissionActive() {
-		refis, elastic = r, true
+		refis = r
 	}
 	var cRefis, cRefisGrow, cRefisShrink *obs.Counter
-	if elastic {
+	if refis != nil {
 		cRefis = reg.Counter("sim_refissions_total")
 		cRefisGrow = reg.Counter("sim_refission_grows_total")
 		cRefisShrink = reg.Counter("sim_refission_shrinks_total")
@@ -701,17 +712,16 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 			refAt = math.Inf(1)
 			now = wake
 			applyFaults()
-			if err := admit(); err != nil {
-				return nil, err
-			}
+			admit()
 			continue
 		}
 		sp := n.speed()
 		capNow := n.capacity(total)
 		// This iteration is a re-fission instant iff the loop woke exactly
 		// at the Refissioner's requested time (next-event selection below
-		// folds refAt into the minimum, so equality is exact).
-		atRef := elastic && now == refAt
+		// folds refAt into the minimum, so equality is exact; refAt is +Inf
+		// without a Refissioner and now is always finite).
+		atRef := now == refAt
 		if capNow == 0 || sp == 0 {
 			// Every subarray is masked: nothing can run until a repair,
 			// which is the only event that can change capacity.
@@ -943,7 +953,7 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 		if retryQ.Len() > 0 && retryQ.peek().at < next {
 			next = retryQ.peek().at
 		}
-		if elastic {
+		if refis != nil {
 			// The Refissioner names the next tile boundary worth a
 			// re-split (+Inf when the current fission needs no revisit);
 			// fold it into the minimum so the loop wakes exactly there.
@@ -1051,9 +1061,7 @@ func (n *Node) run(reqs []workload.Request, verdict bool) (*Outcome, error) {
 			}
 		}
 		tasks = kept
-		if err := admit(); err != nil {
-			return nil, err
-		}
+		admit()
 		if len(tasks) == 0 && nextPending >= len(pending) && retryQ.Len() == 0 {
 			break
 		}

@@ -159,17 +159,7 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestUnknownModelRejected(t *testing.T) {
-	node, _ := testNode(t, fullPolicy{})
-	node.Strict = true
-	bad := workload.Request{ID: 0, Model: "no-such-model", Arrival: 0, QoS: 1, Deadline: 1, Priority: 1}
-	if _, err := node.Run([]workload.Request{bad}); err == nil {
-		t.Fatal("expected unknown-model error in strict mode")
-	}
-}
-
-// TestUnknownModelRejectionOutcome checks the default (non-strict)
-// behavior: a request for an unknown model becomes a per-request
+// TestUnknownModelRejectionOutcome checks that a request for an unknown model becomes a per-request
 // rejection rather than failing the whole run, and the other requests
 // finish untouched.
 func TestUnknownModelRejectionOutcome(t *testing.T) {

@@ -246,44 +246,6 @@ func SLAOutcome(reqs []Request, finishes []float64) (bool, float64) {
 	return meets, float64(ok) / float64(len(reqs))
 }
 
-// SLAOutcomeFlat is SLAOutcome over pre-flattened columns: domIDs[i]
-// indexes domNames (interned in first-sight order), deadlines[i] is the
-// request's deadline. Serving layers that already stream the request
-// array once can build these columns in that pass and keep the SLA
-// tally off the 96-byte-stride records entirely. Results are identical
-// to SLAOutcome on the originating requests.
-func SLAOutcomeFlat(domIDs []uint8, domNames []string, deadlines, finishes []float64) (bool, float64) {
-	n := len(deadlines)
-	if len(domIDs) != n || len(finishes) != n {
-		return false, 0
-	}
-	if n == 0 {
-		return true, 0
-	}
-	okPer := make([]int, len(domNames))
-	totPer := make([]int, len(domNames))
-	ok := 0
-	for i := 0; i < n; i++ {
-		d := domIDs[i]
-		totPer[d]++
-		if OnTime(finishes[i], deadlines[i]) {
-			okPer[d]++
-			ok++
-		}
-	}
-	meets := true
-	for d, name := range domNames {
-		if totPer[d] == 0 {
-			continue
-		}
-		if DomainFails(name, okPer[d], totPer[d]) {
-			meets = false
-			break
-		}
-	}
-	return meets, float64(ok) / float64(n)
-}
-
 // domCount tallies one domain's within-deadline results. The handful of
 // domains lives in a small slice: a linear scan with string equality's
 // pointer fast path (domain strings are shared, not rebuilt per request)
