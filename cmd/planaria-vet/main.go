@@ -13,7 +13,7 @@
 // skipped.
 //
 // All matched packages are loaded before any analyzer runs so the
-// //perf:hot closure propagates across package boundaries (sim.Node.Run
+// //perf:hot closure propagates across package boundaries (sim.Node.run
 // reaches into sched, obs, fault, ...).
 //
 // With -json FILE, the diagnostics are additionally written to FILE as

@@ -69,11 +69,11 @@ import (
 // phaseClock reports wall-clock and heap-allocation deltas per CLI phase
 // on stderr when -phasestats is set.
 type phaseClock struct {
-	enabled    bool
-	start      time.Time
-	last       time.Time
-	lastBytes  uint64
-	lastObjs   uint64
+	enabled   bool
+	start     time.Time
+	last      time.Time
+	lastBytes uint64
+	lastObjs  uint64
 }
 
 func newPhaseClock(enabled bool) *phaseClock {

@@ -29,10 +29,10 @@ func TestFloatAccum(t *testing.T) {
 }
 
 // The performance-contract fixtures (DESIGN.md §13). hotalloc and
-// obsguard mirror the shapes PR 6 hand-built in sim.Node.Run — tracer
+// obsguard mirror the shapes PR 6 hand-built in the sim engine — tracer
 // guards, hoisted guard bools, error exits — so deleting one of those
 // guards in the real engine is the same AST shape the fixtures pin red.
-// poolcheck mirrors nodeScratchPool's deferred Put-with-resets, and its
+// poolcheck mirrors nodeRunPool's deferred Put-with-resets, and its
 // bad cases are exactly what deleting the Put call or the reset lines
 // would produce.
 

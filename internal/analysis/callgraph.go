@@ -7,7 +7,7 @@ import (
 )
 
 // This file builds the intra-module call graph behind the //perf:hot
-// annotation (DESIGN.md §13). A hot root — sim.Node.Run, cluster.Run —
+// annotation (DESIGN.md §13). A hot root — sim.Node.run, cluster.frontEnd.walk —
 // promises the zero-allocation steady state; that promise extends to
 // every module-local function the root reaches, so the closure is
 // computed here once and shared by hotalloc and obsguard.

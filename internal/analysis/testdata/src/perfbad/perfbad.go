@@ -8,7 +8,7 @@ package perfbad
 func mislabeled() int { return 0 }
 
 /* want `//perf:hot annotation requires a reason` */ //perf:hot
-func reasonless() int { return 0 }
+func reasonless() int                                { return 0 }
 
 func misplaced() int {
 	//perf:hot fixture: attached to a statement, not a declaration // want `//perf:hot must annotate a function declaration`

@@ -1,16 +1,16 @@
 // Package poolcheck exercises the poolcheck analyzer against the
-// scratch-pool discipline of sim.nodeScratchPool: every Get needs a
+// scratch-pool discipline of sim.nodeRunPool: every Get needs a
 // deferred Put, pooled values must not escape through returns, and
 // pointer-holding slice fields must be reset before the object goes
 // back. The bad cases mirror exactly what deleting the Put call or the
-// reset lines from sim.Node.Run's defer would look like.
+// reset lines from sim.Node.run's defer would look like.
 package poolcheck
 
 import "sync"
 
 type task struct{ id int }
 
-// scratch mirrors sim.nodeScratch: tasks pins heap objects across
+// scratch mirrors sim.nodeRun: tasks pins heap objects across
 // reuses unless reset, ids is pointer-free and needs no reset.
 type scratch struct {
 	tasks []*task
@@ -19,7 +19,7 @@ type scratch struct {
 
 var pool = sync.Pool{New: func() any { return new(scratch) }}
 
-// good mirrors sim.Node.Run: a deferred Put that resets the
+// good mirrors sim.Node.run: a deferred Put that resets the
 // pointer-holding field first.
 func good(n int) int {
 	sc := pool.Get().(*scratch)

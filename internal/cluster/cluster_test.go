@@ -524,6 +524,10 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 		{"negative work", func(r *workload.Request) { r.Work = -2 }, sim.ErrBadWork},
 		{"NaN work", func(r *workload.Request) { r.Work = math.NaN() }, sim.ErrBadWork},
 		{"+Inf work", func(r *workload.Request) { r.Work = math.Inf(1) }, sim.ErrBadWork},
+		{"priority 0", func(r *workload.Request) { r.Priority = 0 }, sim.ErrBadPriority},
+		{"priority 12", func(r *workload.Request) { r.Priority = 12 }, sim.ErrBadPriority},
+		{"NaN deadline", func(r *workload.Request) { r.Deadline = math.NaN() }, sim.ErrBadDeadline},
+		{"+Inf deadline", func(r *workload.Request) { r.Deadline = math.Inf(1) }, sim.ErrBadDeadline},
 	}
 	for _, tc := range cases {
 		for _, window := range []float64{0, 1e-3} {

@@ -102,10 +102,11 @@ func fuzzFaults(t *testing.T, in *fuzzBytes, chips int) []*fault.Schedule {
 // FuzzClusterRun drives Run with decoded streams and configurations:
 // 1–4 chips of either engine, every balancer, batching on and off with
 // MaxBatch, an admission bucket, scripted autoscaling, fault schedules,
-// unsorted and tied arrivals, unknown models, and malformed arrivals or
-// work. Malformed input must fail with its named error; anything else
-// must serve, with every request in exactly one terminal tally and
-// every chip's dispatch count matching the requests it holds.
+// unsorted and tied arrivals, unknown models, and malformed arrivals,
+// work, priorities or deadlines. Malformed input must fail with its
+// named error; anything else must serve, with every request in exactly
+// one terminal tally and every chip's dispatch count matching the
+// requests it holds.
 func FuzzClusterRun(f *testing.F) {
 	systems := []metrics.System{spatialSystem(f), premaSystem(f)}
 	// Seeds: engine, chips-1, balancer, feature flags (0x01 batching,
@@ -169,7 +170,7 @@ func FuzzClusterRun(f *testing.F) {
 		var wantErr error
 		if flags&0x80 != 0 {
 			r := &reqs[in.next()%len(reqs)]
-			switch in.next() % 5 {
+			switch in.next() % 9 {
 			case 0:
 				r.Arrival, wantErr = math.NaN(), sim.ErrBadArrival
 			case 1:
@@ -178,8 +179,16 @@ func FuzzClusterRun(f *testing.F) {
 				r.Work, wantErr = -2, sim.ErrBadWork
 			case 3:
 				r.Work, wantErr = math.NaN(), sim.ErrBadWork
-			default:
+			case 4:
 				r.Work, wantErr = math.Inf(-1), sim.ErrBadWork
+			case 5:
+				r.Priority, wantErr = 0, sim.ErrBadPriority
+			case 6:
+				r.Priority, wantErr = 12, sim.ErrBadPriority
+			case 7:
+				r.Deadline, wantErr = math.NaN(), sim.ErrBadDeadline
+			default:
+				r.Deadline, wantErr = math.Inf(1), sim.ErrBadDeadline
 			}
 		}
 

@@ -164,3 +164,42 @@ func TestMeetsSLAAllocParity(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLoopAllocFree pins the per-event loop allocation-free: a warm,
+// sink-free Run allocates exactly as often for N requests as for 10·N,
+// so every allocation left is per run and none is per event.
+func TestRunLoopAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; allocation counts vary per run")
+	}
+	node, prog := testNode(t, nil)
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	node.Policy = &splitPolicy{at: iso / 10}
+	node.Shed = ShedPriority
+	// Pairs of overlapping arrivals at 80% load: every pair splits the
+	// chip, so the loop re-allocates, preempts and retires throughout.
+	stream := func(n int) []workload.Request {
+		reqs := make([]workload.Request, n)
+		for i := range reqs {
+			reqs[i] = req(i, float64(i/2)*2.5*iso+float64(i%2)*0.3*iso, 4*iso, 1+i%11)
+		}
+		return reqs
+	}
+	small, large := stream(100), stream(1000)
+	allocs := func(reqs []workload.Request) float64 {
+		return testing.AllocsPerRun(20, func() {
+			out, err := node.Run(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Preemptions == 0 {
+				t.Fatal("stream never preempted")
+			}
+		})
+	}
+	aLarge := allocs(large) // grows the pooled buffers first
+	if aSmall := allocs(small); aLarge != aSmall {
+		t.Fatalf("Run allocates %.1f/op at %d requests and %.1f/op at %d: the event loop allocates",
+			aSmall, len(small), aLarge, len(large))
+	}
+}

@@ -206,18 +206,36 @@ func TestEmptyRunRejected(t *testing.T) {
 	}
 }
 
+// fixedPolicy allocates the same map at every event.
+type fixedPolicy map[int]int
+
+func (fixedPolicy) Name() string                                 { return "test-fixed" }
+func (fixedPolicy) Quantum() float64                             { return 0 }
+func (p fixedPolicy) Allocate(float64, []*Task, int) map[int]int { return p }
+
+// TestValidateAllocationContract: an Allocate-only policy's map passes
+// through the adapter's unknown-task check and the range and sum checks
+// every policy's allocation gets.
 func TestValidateAllocationContract(t *testing.T) {
 	tasks := []*Task{{ID: 1}, {ID: 2}}
-	if err := validateAllocation(map[int]int{1: 8, 2: 8}, tasks, 16); err != nil {
+	check := func(m map[int]int) error {
+		a := &mapAllocator{p: fixedPolicy(m)}
+		dst := make([]int, len(tasks))
+		if a.AllocateInto(0, tasks, 16, dst); a.err != nil {
+			return a.err
+		}
+		return validateAllocationSlice(dst, tasks, 16)
+	}
+	if err := check(map[int]int{1: 8, 2: 8}); err != nil {
 		t.Errorf("valid allocation rejected: %v", err)
 	}
-	if err := validateAllocation(map[int]int{1: 9, 2: 8}, tasks, 16); err == nil {
+	if err := check(map[int]int{1: 9, 2: 8}); err == nil {
 		t.Error("over-allocation accepted")
 	}
-	if err := validateAllocation(map[int]int{3: 1}, tasks, 16); err == nil {
+	if err := check(map[int]int{3: 1}); err == nil {
 		t.Error("unknown-task allocation accepted")
 	}
-	if err := validateAllocation(map[int]int{1: -1}, tasks, 16); err == nil {
+	if err := check(map[int]int{1: -1}); err == nil {
 		t.Error("negative allocation accepted")
 	}
 }
@@ -299,10 +317,12 @@ func TestCheckpointScalesWithBandwidthShare(t *testing.T) {
 	}
 }
 
-// TestRunRejectsMalformedRequests: a non-finite arrival or a negative
-// or non-finite work multiplier fails Run up front with a named error,
-// instead of spinning to the livelock guard, failing with an opaque
-// "no next event", or silently running as unscaled work.
+// TestRunRejectsMalformedRequests: a non-finite arrival, a negative or
+// non-finite work multiplier, a priority outside 1..11 or a non-finite
+// deadline fails Run up front with a named error, instead of spinning to
+// the livelock guard, failing with an opaque "no next event", silently
+// running as unscaled work, or feeding a zero priority into the fairness
+// sum and the priority shed's divisor.
 func TestRunRejectsMalformedRequests(t *testing.T) {
 	cases := []struct {
 		name string
@@ -313,6 +333,10 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 		{"+Inf arrival", func(r *workload.Request) { r.Arrival = math.Inf(1) }, ErrBadArrival},
 		{"negative work", func(r *workload.Request) { r.Work = -1 }, ErrBadWork},
 		{"NaN work", func(r *workload.Request) { r.Work = math.NaN() }, ErrBadWork},
+		{"priority 0", func(r *workload.Request) { r.Priority = 0 }, ErrBadPriority},
+		{"priority 12", func(r *workload.Request) { r.Priority = 12 }, ErrBadPriority},
+		{"NaN deadline", func(r *workload.Request) { r.Deadline = math.NaN() }, ErrBadDeadline},
+		{"-Inf deadline", func(r *workload.Request) { r.Deadline = math.Inf(-1) }, ErrBadDeadline},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -378,7 +402,7 @@ func fairnessOf(pp []ppEntry, prioSum float64) float64 {
 
 // TestFairnessFoldMatchesReference: over seeded random streams —
 // single requests, rejected unknown models (fewer than two finished
-// tasks), zero priorities, and near-zero work that finishes at its
+// tasks), every valid priority, and near-zero work that finishes at its
 // arrival instant (T_multi = 0) — Outcome.Fairness is bit-equal to the
 // materialized referee.
 func TestFairnessFoldMatchesReference(t *testing.T) {
@@ -393,7 +417,7 @@ func TestFairnessFoldMatchesReference(t *testing.T) {
 		at := 0.0
 		for i := range reqs {
 			at += float64(rng.Intn(4)) * 2e-4
-			reqs[i] = req(i, at, 1, rng.Intn(12))
+			reqs[i] = req(i, at, 1, 1+rng.Intn(11))
 			switch rng.Intn(6) {
 			case 0:
 				reqs[i].Model = "no-such-model"

@@ -94,39 +94,22 @@ type HealthAware interface {
 	SetHealth(mask arch.HealthMask)
 }
 
-// Default retry backoff: first re-enqueue 200 µs after the kill,
-// doubling per attempt, capped at 5 ms. All simulated time.
-const (
-	defaultRetryBase = 200e-6
-	defaultRetryCap  = 5e-3
-)
-
-func (n *Node) retryBase() float64 {
-	if n.RetryBase > 0 {
-		return n.RetryBase
-	}
-	return defaultRetryBase
-}
-
-func (n *Node) retryCap() float64 {
-	if n.RetryCap > 0 {
-		return n.RetryCap
-	}
-	return defaultRetryCap
-}
-
 // backoff returns the capped exponential delay before a task's attempt-th
-// re-enqueue (attempt ≥ 1). Doubling a float is exact, so this is
-// deterministic without math.Pow.
+// re-enqueue (attempt ≥ 1): RetryBase, doubling per attempt, capped at
+// RetryCap (zero values mean 200 µs and 5 ms; all simulated time).
+// Doubling a float is exact, so this is deterministic without math.Pow.
 func (n *Node) backoff(attempt int) float64 {
-	b, lim := n.retryBase(), n.retryCap()
+	b, lim := 200e-6, 5e-3
+	if n.RetryBase > 0 {
+		b = n.RetryBase
+	}
+	if n.RetryCap > 0 {
+		lim = n.RetryCap
+	}
 	for i := 1; i < attempt && b < lim; i++ {
 		b *= 2
 	}
-	if b > lim {
-		b = lim
-	}
-	return b
+	return min(b, lim)
 }
 
 // capacity returns the subarray count the scheduler may allocate right

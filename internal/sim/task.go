@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"planaria/internal/arch"
 	"planaria/internal/compiler"
@@ -179,7 +178,7 @@ func (t *Task) advance(dtCycles int64, params energy.Params) int64 {
 	}
 	consumed := int64(0)
 	if t.PenaltyCycles > 0 {
-		pay := min64(t.PenaltyCycles, dtCycles)
+		pay := min(t.PenaltyCycles, dtCycles)
 		t.PenaltyCycles -= pay
 		consumed += pay
 	}
@@ -282,13 +281,6 @@ func (t *Task) checkpointCycles(cfg *arch.Config, oldAlloc int) int64 {
 	return int64(2 * float64(tileBytes) / bw)
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Policy decides subarray allocations. Allocate is invoked at every
 // scheduling event (arrival or completion, plus the policy's quantum if
 // nonzero) with the tasks currently dispatched and unfinished; it returns
@@ -318,8 +310,10 @@ type Refissioner interface {
 	NextRefission(now float64, tasks []*Task, total int) float64
 }
 
-// SliceAllocator is an optional extension of Policy for the engine's
-// zero-allocation scheduling fast path. AllocateInto writes tasks[i]'s
+// SliceAllocator is an optional extension of Policy that keeps
+// scheduling allocation-free: the engine's one allocation path writes
+// positionally, and a policy without it is adapted by copying its
+// Allocate map into place. AllocateInto writes tasks[i]'s
 // new allocation into dst[i] (dst arrives zeroed with len(dst) ==
 // len(tasks)); a slot left at zero stalls that task, exactly like a task
 // omitted from Allocate's map. Implementations must produce the same
@@ -330,46 +324,14 @@ type SliceAllocator interface {
 	AllocateInto(now float64, tasks []*Task, total int, dst []int)
 }
 
-// validateAllocationSlice enforces the policy contract on the slice fast
-// path without allocating. Unknown-task violations cannot occur (slots
-// are positional), so only the range and sum checks remain; the first
-// violation is reported in task-position order, which is deterministic
-// run-to-run.
+// validateAllocationSlice enforces the policy contract's range and sum
+// checks without allocating; the first violation is reported in
+// task-position order, which is deterministic run-to-run.
 func validateAllocationSlice(alloc []int, tasks []*Task, total int) error {
 	sum := 0
 	for i, a := range alloc {
 		if a < 0 || a > total {
 			return fmt.Errorf("sim: allocation %d for task %d outside [0,%d]", a, tasks[i].ID, total)
-		}
-		sum += a
-	}
-	if sum > total {
-		return fmt.Errorf("sim: policy over-allocated %d of %d subarrays", sum, total)
-	}
-	return nil
-}
-
-// validateAllocation enforces the policy contract.
-func validateAllocation(alloc map[int]int, tasks []*Task, total int) error {
-	sum := 0
-	ids := make(map[int]bool, len(tasks))
-	for _, t := range tasks {
-		ids[t.ID] = true
-	}
-	// Iterate task IDs in sorted order so the first validation error is
-	// the same run-to-run (map order would pick an arbitrary one).
-	allocated := make([]int, 0, len(alloc))
-	for id := range alloc {
-		allocated = append(allocated, id)
-	}
-	sort.Ints(allocated)
-	for _, id := range allocated {
-		a := alloc[id]
-		if !ids[id] {
-			return fmt.Errorf("sim: policy allocated to unknown task %d", id)
-		}
-		if a < 0 || a > total {
-			return fmt.Errorf("sim: allocation %d for task %d outside [0,%d]", a, id, total)
 		}
 		sum += a
 	}

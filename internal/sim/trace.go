@@ -194,9 +194,9 @@ func (tr *Trace) AllocTimeline(task int) []Event {
 	return out
 }
 
-// Validate checks trace sanity: every task arrives before any other
-// event, finishes at most once, times are non-decreasing, and no task
-// receives an allocation after finishing.
+// Validate checks trace sanity: times are non-decreasing, every task
+// arrives once before any other event of its own, and finishing, shedding
+// and rejection are terminal — no later event may reference the task.
 func (tr *Trace) Validate() error {
 	prev := -1.0
 	arrived := map[int]bool{}
@@ -212,58 +212,23 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("sim: task %d arrived twice", e.Task)
 			}
 			arrived[e.Task] = true
-		case EvAlloc, EvPreempt, EvRefission:
-			if !arrived[e.Task] {
-				return fmt.Errorf("sim: task %d allocated before arrival", e.Task)
-			}
-			if finished[e.Task] {
-				return fmt.Errorf("sim: task %d allocated after finishing", e.Task)
-			}
 		case EvQueue:
 			if e.Depth < e.Running || e.Running < 0 {
 				return fmt.Errorf("sim: queue sample depth=%d running=%d at event %d", e.Depth, e.Running, i)
 			}
-		case EvKill, EvRetry:
-			if !arrived[e.Task] {
-				return fmt.Errorf("sim: task %d %s before arrival", e.Task, e.Kind)
-			}
-			if finished[e.Task] {
-				return fmt.Errorf("sim: task %d %s after finishing", e.Task, e.Kind)
-			}
-		case EvShed, EvReject:
-			if !arrived[e.Task] {
-				return fmt.Errorf("sim: task %d %s before arrival", e.Task, e.Kind)
-			}
-			if finished[e.Task] {
-				return fmt.Errorf("sim: task %d %s after finishing", e.Task, e.Kind)
-			}
-			// Shedding and rejection are terminal: no later allocation,
-			// retry, or completion may reference the task.
-			finished[e.Task] = true
 		case EvFault, EvScaleUp, EvScaleDown, EvDrain:
 			// Not bound to a task; nothing beyond time monotonicity.
-		case EvMigrate:
-			if !arrived[e.Task] {
-				return fmt.Errorf("sim: task %d migrated before arrival", e.Task)
-			}
-			if finished[e.Task] {
-				return fmt.Errorf("sim: task %d migrated after finishing", e.Task)
-			}
-		case EvBatch, EvDispatch:
+		default:
 			if !arrived[e.Task] {
 				return fmt.Errorf("sim: task %d %s before arrival", e.Task, e.Kind)
 			}
 			if finished[e.Task] {
 				return fmt.Errorf("sim: task %d %s after finishing", e.Task, e.Kind)
 			}
-		case EvFinish:
-			if !arrived[e.Task] {
-				return fmt.Errorf("sim: task %d finished before arrival", e.Task)
+			switch e.Kind {
+			case EvFinish, EvShed, EvReject:
+				finished[e.Task] = true
 			}
-			if finished[e.Task] {
-				return fmt.Errorf("sim: task %d finished twice", e.Task)
-			}
-			finished[e.Task] = true
 		}
 	}
 	return nil
